@@ -7,16 +7,16 @@ measures the skip/resume cache: re-running an unchanged spec must do no
 solver work at all; a fourth measures the shared-substrate cache: a
 solver-axis sweep synthesizes its latency matrices exactly once.  The
 backend targets run the same matrix through each pluggable execution
-backend (serial / local / subprocess) asserting identical canonical
-results, and the halving target checks a budgeted sweep executes
-(and pays for) fewer units than the full grid.
+backend (serial / local / pool) asserting identical canonical results,
+the halving target checks a budgeted sweep executes (and pays for)
+fewer units than the full grid, and the dispatch target times the
+pool's per-unit framing round trip with solving factored out.
 """
 
 from __future__ import annotations
 
 import sys
 import textwrap
-import time
 
 import pytest
 
@@ -115,7 +115,7 @@ def test_fleet_cache_skip(benchmark, tmp_path, prototype_seed):
     assert benchmark.stats.stats.mean < 1.0
 
 
-@pytest.mark.parametrize("backend", ["serial", "local", "subprocess"])
+@pytest.mark.parametrize("backend", ["serial", "local", "pool"])
 def test_fleet_backend_throughput(benchmark, tmp_path, prototype_seed, backend):
     """End-to-end runs/sec of the 8-unit matrix on each backend.
 
@@ -181,145 +181,42 @@ def test_fleet_halving_executes_fewer_units(benchmark, tmp_path, prototype_seed)
           f"{result.pruned} pruned")
 
 
-def test_fleet_pool_vs_subprocess_throughput(
-    benchmark, tmp_path, prototype_seed
-):
-    """Persistent workers amortize interpreter startup: >= 3x faster.
+def test_fleet_pool_dispatch_latency(benchmark, tmp_path, prototype_seed):
+    """Round-trip latency of trivially short units, isolated from solving.
 
-    The subprocess backend pays one interpreter spawn + package import
-    per unit (~0.5 s); the pool backend pays it once per worker and
-    then streams framed payloads, so a short-unit sweep is dominated by
-    actual solve time.  The 3x floor is the CI perf gate; both
-    backends must keep producing the identical canonical digest.
+    The loop worker here answers each frame instantly without importing
+    the solver, so elapsed time is pure dispatch overhead: one worker
+    spawn, then per unit a payload frame out, a record frame back and
+    the select wakeup.
     """
-    data = _sweep_spec(prototype_seed).to_dict()
-    data["sweep"]["replicates"] = 3  # 12 short units: startup dominates
-    spec = RunSpec.from_dict(data)
-    expected = len(expand_matrix(spec))
-
-    def run_backend(backend: str, label: str) -> tuple[float, str]:
-        out = tmp_path / label
-        started = time.monotonic()
-        result = FleetOrchestrator(out, workers=2, backend=backend).run(spec)
-        elapsed = time.monotonic() - started
-        _check(result, expected)
-        assert result.executed == expected
-        return elapsed, canonical_results_digest(out)
-
-    subproc_s, subproc_digest = run_backend("subprocess", "subproc")
-
-    counter = iter(range(1_000_000))
-
-    def run_pool():
-        return run_backend("pool", f"pool-{next(counter)}")
-
-    pool_s, pool_digest = benchmark.pedantic(run_pool, rounds=1, iterations=1)
-    assert pool_digest == subproc_digest
-    speedup = subproc_s / pool_s
-    benchmark.extra_info["runs"] = expected
-    benchmark.extra_info["subprocess_s"] = round(subproc_s, 3)
-    benchmark.extra_info["pool_s"] = round(pool_s, 3)
-    benchmark.extra_info["pool_speedup"] = round(speedup, 2)
-    print(
-        f"\n  pool vs subprocess: {expected} runs, "
-        f"subprocess {expected / subproc_s:.2f} runs/sec, "
-        f"pool {expected / pool_s:.2f} runs/sec ({speedup:.1f}x)"
-    )
-    assert speedup >= 3.0, (
-        f"pool backend only {speedup:.2f}x faster than subprocess "
-        f"(floor: 3x)"
-    )
-
-
-def test_fleet_asha_executes_no_more_units(benchmark, tmp_path, prototype_seed):
-    """Asynchronous halving never pays for more units than synchronous.
-
-    The conservative promotion rule proves each rung decision before
-    acting, so ASHA's executed-unit count is bounded by the synchronous
-    plan's (the CI ceiling) and every persisted record is
-    byte-identical — only the dispatch schedule changes.
-    """
-    def halved(asynchronous: bool) -> RunSpec:
-        return RunSpec(
-            name="bench-asha",
-            workload=WorkloadSpec(kind="prototype", num_sessions=2),
-            simulation=SimulationSpec(
-                duration_s=6.0, hop_interval_mean_s=3.0, seed=prototype_seed
-            ),
-            sweep=SweepSpec(
-                replicates=4,
-                axes=(
-                    AxisSpec(path="solver.beta", values=(100, 200, 400, 800)),
-                ),
-            ),
-            execution=ExecutionSpec(
-                halving=HalvingSpec(rungs=(1, 2), asynchronous=asynchronous)
-            ),
-        )
-
-    sync_out = tmp_path / "sync"
-    sync_result = FleetOrchestrator(sync_out, workers=2).run(halved(False))
-    assert sync_result.failed == 0
-
-    counter = iter(range(1_000_000))
-
-    def run_asha():
-        out = tmp_path / f"asha-{next(counter)}"
-        return FleetOrchestrator(out, workers=2).run(halved(True)), out
-
-    (asha_result, asha_out) = benchmark.pedantic(
-        run_asha, rounds=1, iterations=1
-    )
-    assert asha_result.failed == 0
-    assert asha_result.executed <= sync_result.executed
-    assert asha_result.pruned == sync_result.pruned
-    assert canonical_results_digest(asha_out) == canonical_results_digest(
-        sync_out
-    )
-    benchmark.extra_info["sync_executed"] = sync_result.executed
-    benchmark.extra_info["asha_executed"] = asha_result.executed
-    print(
-        f"\n  asha: {asha_result.executed} executed "
-        f"(sync {sync_result.executed}), {asha_result.pruned} pruned, "
-        f"records byte-identical"
-    )
-
-
-def test_fleet_subprocess_dispatch_latency(benchmark, tmp_path, prototype_seed):
-    """Reap latency of trivially short workers, isolated from solving.
-
-    The worker here answers instantly without importing the package, so
-    elapsed time is pure dispatch overhead: spawn + payload hand-off +
-    exit detection.  pidfd-based exit wakeup makes the detection part
-    syscall-bounded instead of poll-bounded (the old fixed 20 ms poll
-    put a ~160 ms floor under 8 sequential units all by itself).
-    """
-    echo = tmp_path / "echo_worker.py"
+    echo = tmp_path / "echo_loop.py"
     echo.write_text(
         textwrap.dedent(
             """\
             import json, pickle, sys
+            from repro.fleet.backends.worker import read_frame, write_frame
 
-            payload = pickle.load(sys.stdin.buffer)
-            json.dump(
-                {"status": "ok", "run_id": payload["run_id"]},
-                sys.stdout,
-                sort_keys=True,
-            )
+            while True:
+                data = read_frame(sys.stdin.buffer)
+                if data is None:
+                    sys.exit(0)
+                payload = pickle.loads(data)
+                record = {"status": "ok", "run_id": payload["run_id"]}
+                write_frame(sys.stdout.buffer, json.dumps(record).encode())
             """
         ),
         encoding="utf-8",
     )
-    from repro.fleet.backends import RunPayload, SubprocessBackend
+    from repro.fleet.backends import PoolBackend, RunPayload
 
     spec = _sweep_spec(prototype_seed)
     payloads = [RunPayload.from_unit(unit) for unit in expand_matrix(spec)]
-    backend = SubprocessBackend(
-        workers=1, worker_cmd=[sys.executable, str(echo)]
-    )
 
     def run():
-        return list(backend.execute(payloads))
+        with PoolBackend(
+            workers=1, worker_cmd=[sys.executable, str(echo)]
+        ) as backend:
+            return list(backend.execute(payloads))
 
     records = benchmark.pedantic(run, rounds=3, iterations=1)
     assert [record["status"] for record in records] == ["ok"] * len(payloads)
@@ -328,7 +225,7 @@ def test_fleet_subprocess_dispatch_latency(benchmark, tmp_path, prototype_seed):
     benchmark.extra_info["dispatch_ms_per_unit"] = round(per_unit_ms, 2)
     print(
         f"\n  dispatch latency: {len(payloads)} sequential units, "
-        f"{per_unit_ms:.1f} ms/unit"
+        f"{per_unit_ms:.1f} ms/unit (one worker spawn included)"
     )
 
 

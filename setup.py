@@ -29,5 +29,6 @@ setup(
     include_package_data=True,
     python_requires=">=3.10",
     install_requires=["numpy", "PyYAML"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

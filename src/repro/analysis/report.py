@@ -961,7 +961,6 @@ def dispatch_stats(counters: Mapping) -> list[tuple[str, str]]:
     for name, label in (
         ("scheduler.retries", "scheduler crash retries"),
         ("scheduler.pruned", "units pruned by halving"),
-        ("scheduler.asha_promotions", "asynchronous rung promotions"),
         ("scheduler.unscheduled", "units unscheduled by fleet budget"),
     ):
         value = counters.get(name)

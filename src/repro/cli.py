@@ -11,10 +11,9 @@ Examples::
     repro fleet list
     repro fleet run prototype_smoke --workers 2
     repro fleet run my_spec.yaml --out runs/my_spec
-    repro fleet run prototype_smoke --backend subprocess --budget 60
+    repro fleet run prototype_smoke --backend pool --budget 60
     repro fleet run prototype_smoke --backend pool --workers 4
     repro fleet run prototype_smoke --backend remote --hosts h1,h2
-    repro fleet sweep beta_locality --replicates 4 --halving 1,2 --asha
     repro fleet sweep beta_locality --axis solver.beta=200,400 --replicates 3
     repro fleet sweep beta_locality --replicates 4 --halving 1,2
     repro fleet run prototype_smoke --telemetry --progress
@@ -155,14 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="successive-halving rungs: after each cumulative "
             "replicate count, keep the best ceil(n/eta) grid points "
             "and record the rest as status 'pruned'",
-        )
-        sub.add_argument(
-            "--asha",
-            action="store_true",
-            help="asynchronous successive halving: promote/prune grid "
-            "points the moment enough completed peers prove the "
-            "decision, instead of barriering per rung (records stay "
-            "byte-identical to synchronous halving)",
         )
         sub.add_argument(
             "--hosts",
@@ -561,7 +552,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
         or axes
         or replicates is not None
         or args.halving
-        or args.asha
         or args.hosts
     ):
         data = spec.to_dict()
@@ -588,8 +578,6 @@ def _run_fleet(args: argparse.Namespace) -> int:
                     f"got {args.halving!r}"
                 ) from None
             data["execution"]["halving"]["rungs"] = rungs
-        if args.asha:
-            data["execution"]["halving"]["asynchronous"] = True
         if args.hosts:
             data["execution"]["hosts"] = [
                 host.strip()

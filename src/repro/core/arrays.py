@@ -1,17 +1,18 @@
-"""Struct-of-arrays conference core — the whole-conference fast kernel.
+"""Struct-of-arrays candidate evaluation — the HOP kernel.
 
-PR 2's batched kernel (:mod:`repro.core.batched`) vectorized one
-session's move set, but it still rebuilds Python-side structure on every
-hop: per-decision column dicts, first-occurrence masks from scratch, a
-Python loop over ``k * (k - 1)`` flows, and a ``positions`` dict per
-call.  At 10-100x ``huge_conference`` scale that per-hop Python work —
-plus the :meth:`SearchContext.total_phi` walk over every live
-``SessionCost`` object — dominates the wall clock.
+Alg. 1 spends essentially all of its time inside ``session_hop``: every
+HOP evaluates ``O(|U(s)| * L)`` neighbouring assignments.  Evaluating
+them one at a time would pay per candidate for a full
+:class:`~repro.core.assignment.Assignment` copy and a Python walk over
+the session's streams and flows.  This module instead evaluates a
+session's *whole single-decision move set* (:class:`MoveBatch`) in one
+array pass that produces per-candidate usage rows, transcode counts,
+flow delays and the delay-cap / capacity masks (:class:`BatchEvaluation`).
 
-This module flattens the *static* structure of every session once into
-parallel numpy index arrays (:class:`SessionLayout`).  Every usage
-contribution of the reference kernel (a ``+= kappa`` into one per-agent
-slot, guarded by set-dedup conditions) becomes one row of a static
+The *static* structure of every session is flattened once into parallel
+numpy index arrays (:class:`SessionLayout`).  Every usage contribution
+of the per-assignment oracle (a ``+= kappa`` into one per-agent slot,
+guarded by set-dedup conditions) becomes one row of a static
 instruction table: the decision row whose agent the contribution reads,
 the scalar weight, and "not-equal edges" encoding the dedup guards.
 A hop then reduces to one gather of the session's current decisions,
@@ -29,24 +30,29 @@ walk.
 Bit-for-bit equivalence contract
 --------------------------------
 
-The arrays kernel inherits the contract of :mod:`repro.core.batched`
-(same enumeration order, same masks, same IEEE-754 values — see that
-module's docstring for the three ordering rules) and adds four of its
-own:
+The kernel agrees **bit-for-bit** with the per-assignment oracle
+(:meth:`ConferenceProfile.session_usage` / :meth:`ConferenceProfile.
+session_delays` applied to each candidate, themselves pinned to
+:mod:`repro.core.traffic` and :mod:`repro.core.delay`): same candidate
+enumeration order as :func:`~repro.core.neighborhood.session_moves`,
+same feasibility masks, same IEEE-754 values.  Four rules make that
+possible:
 
 * Usage accumulation uses one ``np.bincount`` over flattened
   ``(usage array, candidate, agent)`` bins.  ``bincount`` adds its
   weights in input order, and the instruction rows are laid out in
-  exactly the reference's contribution order (stream-major; per stream
+  exactly the oracle's contribution order (stream-major; per stream
   last-mile, then per-group transcode traffic with the destination loop
   outer and the task loop inner, then raw targets), so every slot
-  accumulates the same addends in the same sequence as the reference
-  Python loop.  The four usage arrays and the transcode counts occupy
-  five disjoint bin blocks (counts ride along with weight ``1.0`` —
-  small integers are exact in float64 — and cast back to int), and
-  masked-out contributions land in a sink column (agent id ``L``) that
-  is sliced away, never skewing real slots.
-* Flow delays keep the *same parenthesization* as the reference:
+  accumulates the same addends in the same sequence as the oracle's
+  Python loop.  Set-dedup semantics (``task_agents`` / ``dest_agents``
+  / ``raw_targets``) become first-occurrence guard edges.  The four
+  usage arrays and the transcode counts occupy five disjoint bin blocks
+  (counts ride along with weight ``1.0`` — small integers are exact in
+  float64 — and cast back to int), and masked-out contributions land in
+  a sink column (agent id ``L``) that is sliced away, never skewing real
+  slots.
+* Flow delays keep the *same parenthesization* as the oracle:
   ``(h[a, src] + h[b, dst]) + d[a, b]`` for direct flows and ``(h[a,
   src] + h[b, dst]) + ((d[a, m] + d[m, b]) + sigma[pair, m])`` for
   transcoded ones.  When the agent matrix is clean (an exactly ``+0.0``
@@ -60,16 +66,17 @@ own:
   so the per-user worst reduces with ``np.maximum.reduceat`` over
   contiguous segments with no per-hop permutation; per-flow delays are
   mutually independent and ``max`` over floats is exact under any
-  reordering, so the reference's per-user and per-session maxima (and
-  their 0.0 clamps) are unchanged.
+  reordering, so the oracle's per-user and per-session maxima (and
+  their 0.0 clamps) are unchanged.  The per-user worst delays are then
+  summed with ``np.add.accumulate`` — strictly sequential, like the
+  oracle's ``sum(worst.values())`` — never ``np.sum``, whose pairwise
+  order could round differently.
 * :meth:`PhiArray.total` reduces the per-session values with
-  ``np.add.accumulate`` — a strictly sequential left-to-right
-  accumulation — over dict-insertion order, which is bitwise identical
-  to the reference ``sum(cost.phi for cost in costs.values())``
-  (``0 + x == x`` exactly).
+  ``np.add.accumulate`` over dict-insertion order, which is bitwise
+  identical to ``sum(cost.phi for cost in costs.values())`` (``0 + x ==
+  x`` exactly).
 
-``tests/test_core_arrays.py`` pins all of it against both the reference
-and batched paths.
+``tests/test_core_arrays.py`` pins all of it against the oracle.
 """
 
 from __future__ import annotations
@@ -78,16 +85,100 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batched import BatchEvaluation, MoveBatch
-from repro.core.neighborhood import KIND_TASK, KIND_USER
+from repro.core.neighborhood import KIND_TASK, KIND_USER, Move
 from repro.errors import ModelError
 
 __all__ = [
+    "MoveBatch",
+    "BatchEvaluation",
     "SessionLayout",
     "ConferenceArrays",
     "PhiArray",
     "arrays_for",
+    "capacity_mask",
+    "delay_mask",
 ]
+
+
+@dataclass(frozen=True)
+class MoveBatch:
+    """The full single-decision move set of one session, as flat arrays.
+
+    Candidates appear in exactly the order :func:`session_moves` yields
+    them: users in session order then transcoding pairs, and for each
+    decision the ``L - 1`` alternative agents in ascending id order.
+    """
+
+    sid: int
+    #: ``KIND_USER`` (0) or ``KIND_TASK`` (1) per candidate.
+    kinds: np.ndarray
+    #: The moved decision: a uid for user moves, a pair index for tasks.
+    indices: np.ndarray
+    old_agents: np.ndarray
+    new_agents: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.kinds.shape[0])
+
+    def move(self, i: int) -> Move:
+        """Materialize candidate ``i`` as a :class:`Move` object."""
+        kind = "user" if self.kinds[i] == KIND_USER else "task"
+        return Move(
+            kind=kind,
+            index=int(self.indices[i]),
+            old_agent=int(self.old_agents[i]),
+            new_agent=int(self.new_agents[i]),
+        )
+
+
+@dataclass(frozen=True)
+class BatchEvaluation:
+    """Vectorized per-candidate session metrics (axis 0 = candidate).
+
+    The 2-D arrays are ``(C, L)``; rows are exactly what the oracle's
+    :class:`~repro.core.traffic.SessionUsage` holds for that candidate.
+    """
+
+    moves: MoveBatch
+    inter_in: np.ndarray
+    inter_out: np.ndarray
+    download: np.ndarray
+    upload: np.ndarray
+    transcodes: np.ndarray
+    #: ``F(d_s)`` — mean of per-user worst incoming delay, per candidate.
+    delay_cost_ms: np.ndarray
+    #: Max flow delay per candidate (feeds constraint (8)).
+    max_flow_ms: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.moves.size
+
+
+def capacity_mask(
+    evaluation: BatchEvaluation,
+    residual_down: np.ndarray,
+    residual_up: np.ndarray,
+    residual_slots: np.ndarray,
+    tolerance: float,
+) -> np.ndarray:
+    """Per-candidate capacity feasibility (constraints (5)-(7)).
+
+    ``residual_*`` must already exclude the hopping session's own usage,
+    exactly as :meth:`CapacityLedger.fits` computes them.
+    """
+    return (
+        (evaluation.download <= residual_down[None, :] + tolerance).all(axis=1)
+        & (evaluation.upload <= residual_up[None, :] + tolerance).all(axis=1)
+        & (evaluation.transcodes <= residual_slots[None, :] + tolerance).all(axis=1)
+    )
+
+
+def delay_mask(evaluation: BatchEvaluation, dmax_ms: float) -> np.ndarray:
+    """Per-candidate delay-cap feasibility (constraint (8)), with the
+    same ``1e-9`` slack as the per-assignment feasibility check."""
+    return ~(evaluation.max_flow_ms > dmax_ms + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -95,7 +186,7 @@ class SessionLayout:
     """All static per-session structure, flattened to index arrays.
 
     Decision rows are ordered users-then-pairs, matching the move
-    enumeration of :func:`repro.core.batched.build_move_batch`.  The
+    enumeration of :func:`repro.core.neighborhood.session_moves`.  The
     heart of the layout is ``all_rows``, the combined instruction table:
     one gather ``cols[all_rows]`` yields, for every candidate at once,
     the agent id behind every usage contribution, flow endpoint and
@@ -203,7 +294,7 @@ def _build_layout(
         ]
     )
 
-    # Instruction tables, accumulated in exact reference order.
+    # Instruction tables, accumulated in exact oracle order.
     lm_src: list[int] = []
     lm_kappa: list[float] = []
     lm_demand: list[float] = []
@@ -468,9 +559,10 @@ class ConferenceArrays:
     # ------------------------------------------------------------------ #
 
     def evaluate_candidates(self, assignment, sid: int) -> BatchEvaluation:
-        """Single-pass equivalent of
-        :meth:`ConferenceProfile.evaluate_candidates` on the flattened
-        layout — bit-for-bit identical outputs."""
+        """Evaluate every single-decision move of session ``sid`` from
+        ``assignment`` in one pass; row ``i`` is bit-for-bit the oracle's
+        :meth:`ConferenceProfile.session_usage` / :meth:`ConferenceProfile.
+        session_delays` at the assignment of move ``i``."""
         layout = self.layout(sid)
         num_agents = self._num_agents
         num_uids = layout.uids.shape[0]
@@ -617,13 +709,13 @@ class ConferenceArrays:
             sorted_delays = delays[layout.perm]
 
         # Segment-max per destination user; exact under any reduction
-        # order, clamped at the reference's 0.0 initial value.
+        # order, clamped at the oracle's 0.0 initial value.
         worst = np.maximum.reduceat(sorted_delays, layout.seg_starts, axis=0)
         np.maximum(worst, 0.0, out=worst)
         max_flow = np.maximum(delays.max(axis=0), 0.0)
 
         # ``np.add.accumulate`` is a strictly sequential left-to-right
-        # reduction, replicating the reference's ``sum(worst.values())``
+        # reduction, replicating the oracle's ``sum(worst.values())``
         # exactly (the implicit leading ``0.0 + x`` is exact); np.sum's
         # pairwise order would not.
         np.add.accumulate(worst, axis=0, out=worst)
@@ -657,11 +749,11 @@ class ConferenceArrays:
 class PhiArray:
     """Per-session ``phi`` as one insertion-ordered float array.
 
-    Mirrors the insertion-order semantics of the reference
-    ``dict[int, SessionCost]`` exactly: initial sessions in sorted order,
+    Mirrors the insertion-order semantics of a ``dict[int,
+    SessionCost]`` exactly: initial sessions in sorted order,
     arrivals appended at the end, departures deleted in place, commits
     updating one slot — so :meth:`total`'s sequential reduction is
-    bitwise identical to the reference Python sum over ``.values()``.
+    bitwise identical to a Python sum over ``.values()``.
     """
 
     def __init__(self, phis: dict[int, float]):

@@ -8,14 +8,12 @@ transcoding into what, per-user bitrate sums, per-(pair, agent) transcoding
 latencies) is static per conference — only the agent choices vary.
 
 :class:`ConferenceProfile` precomputes that structure once and provides
-allocation-light evaluation primitives.  The reference implementations in
-:mod:`repro.core.traffic` and :mod:`repro.core.delay` remain the
-ground truth — the test suite asserts bit-for-bit agreement — but the
-solvers run on this module.  On top of the per-assignment kernels here,
-:mod:`repro.core.batched` evaluates a session's *entire* single-decision
-move set in one array pass (:meth:`ConferenceProfile.evaluate_candidates`
-is the entry point); the per-move kernels below remain the reference the
-batched layer is tested against.
+allocation-light per-assignment evaluation.  The reference implementations
+in :mod:`repro.core.traffic` and :mod:`repro.core.delay` remain the
+ground truth — the test suite asserts bit-for-bit agreement.  The
+objective evaluator runs on these per-assignment kernels, and they are
+the oracle the whole-move-set kernel of :mod:`repro.core.arrays` is
+tested against.
 """
 
 from __future__ import annotations
@@ -225,18 +223,6 @@ class ConferenceProfile:
         mean = sum(worst.values()) / len(worst)
         return mean, max_flow
 
-    def evaluate_candidates(self, assignment, sid: int):
-        """Batched evaluation of session ``sid``'s full move set.
-
-        Returns a :class:`repro.core.batched.BatchEvaluation` whose rows
-        agree bit-for-bit with :meth:`session_usage` /
-        :meth:`session_delays` applied to each move's assignment.
-        """
-        from repro.core.batched import build_move_batch, evaluate_move_batch
-
-        moves = build_move_batch(self._conference, assignment, sid)
-        return evaluate_move_batch(self, assignment, moves)
-
     def session_user_delays(
         self, user_agent: np.ndarray, task_agent: np.ndarray, sid: int
     ) -> dict[int, float]:
@@ -260,18 +246,11 @@ class ConferenceProfile:
         return worst
 
 
-_PROFILE_CACHE: dict[int, ConferenceProfile] = {}
-
-
 def profile_for(conference: Conference) -> ConferenceProfile:
-    """A cached profile per conference instance (keyed by identity)."""
-    key = id(conference)
-    profile = _PROFILE_CACHE.get(key)
-    if profile is None or profile._conference is not conference:
+    """The conference's profile, cached on the conference instance (same
+    lifetime, no global registry)."""
+    profile = getattr(conference, "_profile", None)
+    if profile is None:
         profile = ConferenceProfile(conference)
-        _PROFILE_CACHE[key] = profile
-        if len(_PROFILE_CACHE) > 64:  # bound the cache; keep newest entries
-            oldest = next(iter(_PROFILE_CACHE))
-            if oldest != key:
-                del _PROFILE_CACHE[oldest]
+        conference._profile = profile
     return profile

@@ -6,13 +6,11 @@ Serves as a deterministic reference point in the ablation benches: Markov
 approximation should match or beat it in expectation (it can escape local
 optima; greedy cannot).
 
-On the vectorized kernels the whole-conference sweep is a per-session
-``phi_current - batch.phi`` gain vector and one ``argmax`` per session;
-only the iteration's single winning candidate is materialized.  The
-selection is identical to the reference scan: ``np.argmax`` returns the
-*first* maximal gain (the reference's strict ``>`` keeps the first too),
-and cross-session comparison stays strict, so earlier sessions win ties
-exactly as before.
+The whole-conference sweep is a per-session ``phi_current - batch.phi``
+gain vector and one ``argmax`` per session; only the iteration's single
+winning candidate is materialized.  ``np.argmax`` returns the *first*
+maximal gain and cross-session comparison is strict, so ties go to the
+earliest candidate of the earliest session.
 """
 
 from __future__ import annotations
@@ -46,14 +44,6 @@ def _best_improvement(
     """The iteration's strictly-best move across every active session."""
     best = None
     best_sid = -1
-    if context.kernel == "reference":
-        for sid in context.active_sessions:
-            phi_current = context.session_cost(sid).phi
-            for candidate in context.feasible_candidates(sid):
-                gain = phi_current - candidate.phi
-                if gain > best_gain:
-                    best, best_sid, best_gain = candidate, sid, gain
-        return best, best_sid, best_gain
     best_batch: CandidateBatch | None = None
     best_position = -1
     for sid in context.active_sessions:
@@ -78,7 +68,6 @@ def greedy_descent(
     active_sids: list[int] | None = None,
     max_iterations: int = 10_000,
     noise: NoiseModel | None = None,
-    kernel: str | None = None,
 ) -> GreedyResult:
     """Best-improvement local search to a local optimum of UAP."""
     context = SearchContext(
@@ -86,7 +75,6 @@ def greedy_descent(
         initial_assignment,
         active_sids=active_sids,
         noise=noise,
-        kernel=kernel,
     )
     iterations = 0
     while iterations < max_iterations:

@@ -7,22 +7,13 @@ assignment, the capacity ledger, cached per-session costs, and candidate
 evaluation (usage + capacity fit + delay cap + session-local objective),
 so the solvers reduce to their selection rules.
 
-Candidate evaluation has three interchangeable kernels:
-
-* ``"reference"`` (:meth:`SearchContext.evaluate_move`) evaluates one
-  move at a time through the per-assignment fastpath kernels,
-* ``"batched"`` (:meth:`SearchContext.candidate_batch`) evaluates the
-  whole move set in one :mod:`repro.core.batched` array pass, and
-* ``"arrays"`` (the default) runs the same batch pass on the
-  struct-of-arrays layouts of :mod:`repro.core.arrays`, with the
-  conference-level ``phi`` kept in a :class:`~repro.core.arrays.
-  PhiArray` and the committed cost reused from the candidate batch.
-
-All three produce bit-identical candidate sets, masks and ``phi``
-values (``tests/test_core_batched.py`` and ``tests/test_core_arrays.py``
-pin this), so the ``kernel`` choice is purely a performance switch.
-The legacy ``batched`` flag maps onto it (``True`` -> ``"batched"``,
-``False`` -> ``"reference"``).
+Candidates are evaluated by the struct-of-arrays kernel of
+:mod:`repro.core.arrays`: one array pass over a session's whole move
+set (:meth:`SearchContext.candidate_batch`), with the conference-level
+``phi`` kept in a :class:`~repro.core.arrays.PhiArray` and the committed
+cost reused from the candidate batch.  The per-assignment evaluation of
+:class:`~repro.core.objective.ObjectiveEvaluator` is the oracle the
+kernel is pinned against bit-for-bit (``tests/test_core_arrays.py``).
 """
 
 from __future__ import annotations
@@ -31,20 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.arrays import PhiArray, arrays_for
+from repro.core.arrays import (
+    BatchEvaluation,
+    PhiArray,
+    arrays_for,
+    capacity_mask,
+    delay_mask,
+)
 from repro.core.assignment import Assignment
-from repro.core.batched import BatchEvaluation, capacity_mask, delay_mask
 from repro.core.capacity import CapacityLedger
 from repro.core.feasibility import CAPACITY_TOLERANCE
-from repro.core.neighborhood import Move, session_moves
+from repro.core.neighborhood import Move
 from repro.core.objective import ObjectiveEvaluator, SessionCost
 from repro.core.traffic import SessionUsage
 from repro.errors import ModelError, SolverError
 from repro.model.conference import Conference
 from repro.netsim.noise import NoiseModel, NoNoise
-
-#: Candidate-evaluation kernels, slowest to fastest; all bit-identical.
-KERNELS = ("reference", "batched", "arrays")
 
 #: Shared read-only ``arange`` prefixes for fully-feasible candidate
 #: batches (the overwhelmingly common case on uncongested conferences),
@@ -59,24 +52,6 @@ def _identity_indices(n: int) -> np.ndarray:
         indices.setflags(write=False)
         _IDENTITY_INDICES[n] = indices
     return indices
-
-
-def resolve_kernel(kernel: str | None, batched: bool | None) -> str:
-    """Fold the legacy ``batched`` flag and the ``kernel`` name into one
-    validated kernel choice (both unset -> ``"arrays"``)."""
-    if kernel is None:
-        if batched is None:
-            return "arrays"
-        return "batched" if batched else "reference"
-    if kernel not in KERNELS:
-        raise SolverError(
-            f"unknown search kernel {kernel!r}; expected one of {KERNELS}"
-        )
-    if batched is not None and bool(batched) != (kernel != "reference"):
-        raise SolverError(
-            f"kernel {kernel!r} contradicts batched={batched!r}"
-        )
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -96,10 +71,11 @@ class CandidateBatch:
     """One session's feasible neighbours as flat arrays.
 
     Produced by :meth:`SearchContext.candidate_batch`.  Feasible
-    candidates keep the reference enumeration order; :attr:`phi` holds
-    their *observed* (possibly noise-perturbed) objectives, which is what
-    the HOP selection rules act on.  :meth:`materialize` builds a full
-    :class:`Candidate` only for the (single) chosen neighbour.
+    candidates keep the :func:`~repro.core.neighborhood.session_moves`
+    enumeration order; :attr:`phi` holds their *observed* (possibly
+    noise-perturbed) objectives, which is what the HOP selection rules
+    act on.  :meth:`materialize` builds a full :class:`Candidate` only
+    for the (single) chosen neighbour.
     """
 
     def __init__(
@@ -172,9 +148,6 @@ class CandidateBatch:
         )
         return Candidate(move=move, assignment=move.apply(self._base), cost=cost)
 
-    def materialize_all(self) -> list[Candidate]:
-        return [self.materialize(p) for p in range(self.num_feasible)]
-
 
 class SearchContext:
     """Mutable search state shared by the local-search solvers.
@@ -194,13 +167,6 @@ class SearchContext:
         models the noisy measurements of Sec. IV-A.4.
     rng:
         Generator used only for noise draws here; solvers hold their own.
-    batched:
-        Legacy kernel flag (``True`` -> ``"batched"``, ``False`` ->
-        ``"reference"``); superseded by ``kernel``.
-    kernel:
-        One of :data:`KERNELS`; defaults to ``"arrays"`` when neither it
-        nor ``batched`` is given.  All kernels yield bit-identical
-        candidates.
     """
 
     def __init__(
@@ -210,11 +176,7 @@ class SearchContext:
         active_sids: list[int] | None = None,
         noise: NoiseModel | None = None,
         rng: np.random.Generator | None = None,
-        batched: bool | None = None,
-        kernel: str | None = None,
     ):
-        self._kernel = resolve_kernel(kernel, batched)
-        self._batched = self._kernel != "reference"
         self._evaluator = evaluator
         self._conference = evaluator.conference
         self._active = (
@@ -230,24 +192,15 @@ class SearchContext:
         self._costs: dict[int, SessionCost] = {
             sid: evaluator.session_cost(assignment, sid) for sid in self._active
         }
-        if self._kernel == "arrays":
-            # Struct-of-arrays extras: the hop kernel's flattened session
-            # layouts, the phi mirror, and a ledger fed from the costs
-            # just computed (``profile.session_usage`` is pinned
-            # bit-identical to ``compute_session_usage``).
-            self._arrays = arrays_for(evaluator.profile)
-            self._phi = PhiArray(
-                {sid: cost.phi for sid, cost in self._costs.items()}
-            )
-            self._ledger = CapacityLedger(self._conference)
-            for cost in self._costs.values():
-                self._ledger.set_session(cost.usage)
-        else:
-            self._arrays = None
-            self._phi = None
-            self._ledger = CapacityLedger.from_assignment(
-                self._conference, assignment, self._active
-            )
+        # The hop kernel's flattened session layouts, the phi mirror,
+        # and a ledger fed from the costs just computed
+        # (``profile.session_usage`` is pinned bit-identical to
+        # ``compute_session_usage``).
+        self._arrays = arrays_for(evaluator.profile)
+        self._phi = PhiArray({sid: cost.phi for sid, cost in self._costs.items()})
+        self._ledger = CapacityLedger(self._conference)
+        for cost in self._costs.values():
+            self._ledger.set_session(cost.usage)
 
     # ------------------------------------------------------------------ #
     # State access                                                       #
@@ -273,23 +226,11 @@ class SearchContext:
     def active_sessions(self) -> list[int]:
         return list(self._active)
 
-    @property
-    def batched(self) -> bool:
-        """Whether candidate evaluation uses a vectorized kernel."""
-        return self._batched
-
-    @property
-    def kernel(self) -> str:
-        """The selected candidate-evaluation kernel (:data:`KERNELS`)."""
-        return self._kernel
-
     def session_cost(self, sid: int) -> SessionCost:
         return self._costs[sid]
 
     def total_phi(self) -> float:
-        if self._phi is not None:
-            return self._phi.total()
-        return sum(cost.phi for cost in self._costs.values())
+        return self._phi.total()
 
     def metrics(self) -> tuple[float, float]:
         """``(inter_agent_mbps, average_delay_ms)`` over active sessions."""
@@ -308,57 +249,19 @@ class SearchContext:
     # Candidate evaluation                                               #
     # ------------------------------------------------------------------ #
 
-    def evaluate_move(self, sid: int, move: Move) -> Candidate | None:
-        """Apply feasibility rules to one move; None when infeasible.
-
-        One pass computes the session usage (for the capacity check and
-        the cost terms) and the flow delays (for constraint (8) and the
-        delay cost); the candidate's stored cost is the *observed*
-        (possibly noisy) one — exactly what Alg. 1's HOP acts on.
-        """
-        candidate = move.apply(self._assignment)
-        profile = self._evaluator.profile
-        usage = profile.session_usage(candidate.user_agent, candidate.task_agent, sid)
-        if not self._ledger.fits(usage):
-            return None
-        delay_cost, max_flow = profile.session_delays(
-            candidate.user_agent, candidate.task_agent, sid
-        )
-        if max_flow > self._conference.dmax_ms + 1e-9:
-            return None
-        cost = self._evaluator.assemble_session_cost(sid, usage, delay_cost)
-        observed_phi = self._noise.perturb(cost.phi, self._rng)
-        if observed_phi != cost.phi:
-            cost = SessionCost(
-                sid=cost.sid,
-                phi=observed_phi,
-                delay_cost_ms=cost.delay_cost_ms,
-                traffic_cost=cost.traffic_cost,
-                transcode_cost=cost.transcode_cost,
-                usage=cost.usage,
-            )
-        return Candidate(move=move, assignment=candidate, cost=cost)
-
     def feasible_candidates(self, sid: int) -> list[Candidate]:
         """All feasible single-decision neighbours of session ``sid``."""
-        if self._batched:
-            return self.candidate_batch(sid).materialize_all()
-        candidates = []
-        for move in session_moves(self._conference, self._assignment, sid):
-            candidate = self.evaluate_move(sid, move)
-            if candidate is not None:
-                candidates.append(candidate)
-        return candidates
+        batch = self.candidate_batch(sid)
+        return [batch.materialize(p) for p in range(batch.num_feasible)]
 
     def candidate_batch(self, sid: int) -> CandidateBatch:
-        """Vectorized equivalent of :meth:`feasible_candidates`.
+        """The feasible neighbours of session ``sid`` as flat arrays.
 
-        One :mod:`repro.core.batched` array pass over the session's whole
-        move set; noise draws are then applied per *feasible* candidate
-        in enumeration order, consuming the generator exactly as the
-        reference path does.
+        One :mod:`repro.core.arrays` pass over the session's whole move
+        set; noise draws are then applied per *feasible* candidate in
+        enumeration order, one ``perturb`` call each.
         """
-        evaluation = self._evaluate_candidates(self._assignment, sid)
+        evaluation = self._arrays.evaluate_candidates(self._assignment, sid)
         feasible = self._feasibility_mask(sid, evaluation)
         traffic = self._evaluator.traffic_cost_batch(evaluation.inter_in)
         transcode = self._evaluator.transcode_cost_batch(evaluation.transcodes)
@@ -375,14 +278,6 @@ class SearchContext:
             transcode=transcode,
             base_assignment=self._assignment,
         )
-
-    def _evaluate_candidates(
-        self, assignment: Assignment, sid: int
-    ) -> BatchEvaluation:
-        """One batch evaluation on the selected vectorized kernel."""
-        if self._arrays is not None:
-            return self._arrays.evaluate_candidates(assignment, sid)
-        return self._evaluator.profile.evaluate_candidates(assignment, sid)
 
     def _feasibility_mask(self, sid: int, evaluation: BatchEvaluation) -> np.ndarray:
         mask = delay_mask(evaluation, self._conference.dmax_ms)
@@ -402,49 +297,25 @@ class SearchContext:
         same at the current and proposed states, so the current ledger
         answers the question without rebuilding any search state.
         """
-        if self._batched:
-            evaluation = self._evaluate_candidates(assignment, sid)
-            if evaluation.size == 0:
-                return 0
-            return int(np.count_nonzero(self._feasibility_mask(sid, evaluation)))
-        profile = self._evaluator.profile
-        count = 0
-        for move in session_moves(self._conference, assignment, sid):
-            candidate = move.apply(assignment)
-            usage = profile.session_usage(
-                candidate.user_agent, candidate.task_agent, sid
-            )
-            if not self._ledger.fits(usage):
-                continue
-            _, max_flow = profile.session_delays(
-                candidate.user_agent, candidate.task_agent, sid
-            )
-            if max_flow > self._conference.dmax_ms + 1e-9:
-                continue
-            count += 1
-        return count
+        evaluation = self._arrays.evaluate_candidates(assignment, sid)
+        if evaluation.size == 0:
+            return 0
+        return int(np.count_nonzero(self._feasibility_mask(sid, evaluation)))
 
     def best_candidate(self, sid: int) -> Candidate | None:
         """The feasible neighbour of ``sid`` with the lowest *observed*
         ``phi``, or ``None`` when the session has no feasible move.
 
-        Deterministic on every kernel: ties resolve to the first
-        candidate in the reference enumeration order (``np.argmin``
-        semantics), and without noise no generator state is consumed —
-        this is the service layer's incremental-delta entry point, so it
-        must never perturb replay determinism.
+        Deterministic: ties resolve to the first candidate in
+        enumeration order (``np.argmin`` semantics), and without noise
+        no generator state is consumed — this is the service layer's
+        incremental-delta entry point, so it must never perturb replay
+        determinism.
         """
-        if self._batched:
-            batch = self.candidate_batch(sid)
-            if batch.num_feasible == 0:
-                return None
-            return batch.materialize(int(np.argmin(batch.phi)))
-        best: Candidate | None = None
-        for move in session_moves(self._conference, self._assignment, sid):
-            candidate = self.evaluate_move(sid, move)
-            if candidate is not None and (best is None or candidate.phi < best.phi):
-                best = candidate
-        return best
+        batch = self.candidate_batch(sid)
+        if batch.num_feasible == 0:
+            return None
+        return batch.materialize(int(np.argmin(batch.phi)))
 
     def greedy_refine(self, sid: int, max_hops: int) -> int:
         """Commit up to ``max_hops`` strictly-improving best moves of
@@ -476,19 +347,18 @@ class SearchContext:
         view of the current state stays exact (noise applies to
         *observations* of candidates, not to the state itself).  Without
         noise the candidate's stored cost already *is* that exact cost
-        (the equivalence suites pin batch values against the reference
-        recomputation bit-for-bit), so the arrays kernel skips the
-        redundant per-hop recomputation.
+        (the equivalence suite pins batch values against the oracle
+        recomputation bit-for-bit), so the per-hop recomputation is
+        skipped.
         """
         self._assignment = candidate.assignment
-        if self._phi is not None and isinstance(self._noise, NoNoise):
+        if isinstance(self._noise, NoNoise):
             exact_cost = candidate.cost
         else:
             exact_cost = self._evaluator.session_cost(candidate.assignment, sid)
         self._costs[sid] = exact_cost
         self._ledger.set_session(exact_cost.usage)
-        if self._phi is not None:
-            self._phi.set(sid, exact_cost.phi)
+        self._phi.set(sid, exact_cost.phi)
 
     # ------------------------------------------------------------------ #
     # Session dynamics (arrivals / departures)                           #
@@ -505,8 +375,7 @@ class SearchContext:
         self._costs[sid] = cost
         self._ledger.set_session(cost.usage)
         self._active = sorted(self._active + [sid])
-        if self._phi is not None:
-            self._phi.append(sid, cost.phi)
+        self._phi.append(sid, cost.phi)
 
     def remove_session(self, sid: int) -> None:
         """Deactivate a session and release its capacity."""
@@ -515,6 +384,5 @@ class SearchContext:
         del self._costs[sid]
         self._ledger.remove_session(sid)
         self._active.remove(sid)
-        if self._phi is not None:
-            self._phi.remove(sid)
+        self._phi.remove(sid)
         self._assignment = self._assignment.with_session_cleared(self._conference, sid)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.core.assignment import Assignment
 from repro.core.exact import enumerate_assignments
@@ -85,6 +84,23 @@ def build_state_space(
 # --------------------------------------------------------------------- #
 # Gibbs target and the log-sum-exp approximation                        #
 # --------------------------------------------------------------------- #
+
+
+def logsumexp(values: np.ndarray) -> float:
+    """``log(sum(exp(values)))`` without overflow.
+
+    The maximal terms are split out of the sum — ``max + log(m) +
+    log1p(sum(exp(rest - max)) / m)`` for ``m`` tied maxima — which keeps
+    precision when one term dominates.  Infinite and NaN inputs give
+    scipy's answers (``-inf``, ``inf``, ``nan``) without warnings.
+    """
+    values = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        top = values.max()
+        is_top = values == top
+        count = np.count_nonzero(is_top)
+        rest = np.where(is_top, 0.0, np.exp(values - top)).sum() / count
+        return float(np.log1p(rest) + np.log(count) + top)
 
 
 def gibbs_distribution(phis: np.ndarray, beta: float) -> np.ndarray:

@@ -14,6 +14,7 @@ terms), matching the paper's delay-vs-cost framing of the sweep.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,14 @@ def sweep_scenario(
                 run_evaluator,
                 initial,
                 config=MarkovConfig(beta=effective_beta(beta)),
+                # crc32, not hash(): str hashes vary per process
+                # (PYTHONHASHSEED), and so would every seeded result.
                 rng=np.random.default_rng(
-                    (scenario_seed, hash(policy) & 0xFFFF, len(label))
+                    (
+                        scenario_seed,
+                        zlib.crc32(policy.encode()) & 0xFFFF,
+                        len(label),
+                    )
                 ),
             )
             solver.run_until_stable(

@@ -11,7 +11,7 @@ fast on dangling references before any solve starts.  Execution is a
 layered subsystem: :mod:`repro.fleet.matrix` expands parameter sweeps
 into content-hash run units, :mod:`repro.fleet.backends` dispatches
 self-contained unit payloads through pluggable backends (serial /
-multiprocessing / subprocess worker commands), the scheduler
+multiprocessing / persistent worker pools, local or remote), the scheduler
 (:mod:`repro.fleet.scheduler`) owns ordering, per-unit wall-time
 budgets, crash retries and successive-halving early abort, and the
 orchestrator (:mod:`repro.fleet.orchestrator`) keeps the books —
@@ -22,7 +22,7 @@ Bundled example specs live in :mod:`repro.fleet.library`::
 
     repro fleet list
     repro fleet run prototype_smoke --workers 2
-    repro fleet run prototype_smoke --backend subprocess --budget 120
+    repro fleet run prototype_smoke --backend pool --budget 120
     repro fleet sweep beta_locality --axis solver.beta=200,400
     repro fleet sweep beta_locality --replicates 4 --halving 1,2
     repro fleet report fleet_runs/prototype_smoke
@@ -33,7 +33,6 @@ from repro.fleet.backends import (
     LocalBackend,
     RunPayload,
     SerialBackend,
-    SubprocessBackend,
     create_backend,
 )
 from repro.fleet.compile import (
@@ -97,7 +96,6 @@ __all__ = [
     "SerialBackend",
     "SimulationSpec",
     "SolverSpec",
-    "SubprocessBackend",
     "SweepSpec",
     "TopologySpec",
     "TraceSpec",

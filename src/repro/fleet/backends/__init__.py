@@ -11,12 +11,11 @@ swappable choice (DESIGN.md "Execution backends & budgets"):
   for live-queue dispatch and ``close()`` for worker reaping);
 * :mod:`~repro.fleet.backends.serial` — in-process, sequential;
 * :mod:`~repro.fleet.backends.local` — ``multiprocessing`` on this
-  machine (the extracted legacy pool; managed per-unit processes when a
-  wall-time budget must kill);
-* :mod:`~repro.fleet.backends.subproc` — one self-contained worker
-  command per unit (``python -m repro.fleet.backends.worker``);
+  machine (managed per-unit processes when a wall-time budget must
+  kill);
 * :mod:`~repro.fleet.backends.pool` — persistent framed-protocol
-  workers spawned once per fleet, sticky substrate-affinity dispatch;
+  worker commands (``python -m repro.fleet.backends.worker --loop``)
+  spawned once per fleet, sticky substrate-affinity dispatch;
 * :mod:`~repro.fleet.backends.remote` — the pool spread over an
   ``execution.hosts`` inventory via ``worker_cmd`` templating, with
   least-loaded dispatch and failure-aware host quarantine.
@@ -37,10 +36,13 @@ from repro.fleet.backends.base import (
     timeout_record,
 )
 from repro.fleet.backends.local import LocalBackend
-from repro.fleet.backends.pool import PoolBackend, resolve_worker_cmd
+from repro.fleet.backends.pool import (
+    PoolBackend,
+    default_worker_cmd,
+    resolve_worker_cmd,
+)
 from repro.fleet.backends.remote import RemoteBackend
 from repro.fleet.backends.serial import SerialBackend
-from repro.fleet.backends.subproc import SubprocessBackend, default_worker_cmd
 
 __all__ = [
     "BACKENDS",
@@ -50,7 +52,6 @@ __all__ = [
     "RemoteBackend",
     "RunPayload",
     "SerialBackend",
-    "SubprocessBackend",
     "crash_record",
     "create_backend",
     "default_worker_cmd",
@@ -62,7 +63,6 @@ __all__ = [
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     SerialBackend.kind: SerialBackend,
     LocalBackend.kind: LocalBackend,
-    SubprocessBackend.kind: SubprocessBackend,
     PoolBackend.kind: PoolBackend,
     RemoteBackend.kind: RemoteBackend,
 }

@@ -82,7 +82,7 @@ class RunPayload:
         )
 
     def to_wire(self) -> dict:
-        """Plain-dict form shipped to subprocess/remote workers."""
+        """Plain-dict form shipped to pool/remote workers."""
         return {
             "run_id": self.run_id,
             "spec": self.spec,
@@ -141,8 +141,8 @@ class ExecutionBackend(ABC):
     :mod:`repro.fleet.backends.local`.)
     """
 
-    #: Registry name of the backend ("serial" / "local" / "subprocess"
-    #: / "pool" / "remote").
+    #: Registry name of the backend ("serial" / "local" / "pool" /
+    #: "remote").
     kind: ClassVar[str] = ""
 
     def __init__(self, workers: int = 1) -> None:
@@ -172,8 +172,7 @@ class ExecutionBackend(ABC):
 
         Unlike :meth:`execute`'s fixed batch, ``source`` belongs to the
         caller and may grow between yielded records — the scheduler
-        appends crash retries and asynchronous-halving promotions while
-        the stream runs.  The stream ends when ``source`` is empty and
+        appends crash retries while the stream runs.  The stream ends when ``source`` is empty and
         nothing is in flight at a yield point.
 
         This default drains the queue in chunks of up to ``workers``

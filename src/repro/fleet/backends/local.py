@@ -1,15 +1,14 @@
-"""Local multiprocessing backend — the extracted legacy dispatcher.
+"""Local multiprocessing backend.
 
-Without a budget this is exactly the orchestrator's original execution
-path: serial in-process for ``workers <= 1`` (or a single payload),
+Without a budget this runs serial in-process for ``workers <= 1`` (or a
+single payload),
 otherwise a ``multiprocessing.Pool`` streaming records back through
 ``imap_unordered``.  Pool workers live for the whole batch, so the
 process-local substrate cache (see :mod:`repro.fleet.compile`) warms
-across same-substrate units.  The pool inherits the legacy gap as
-well: a worker dying *hard* (segfault, OOM kill — Python exceptions
-are caught worker-side) loses its in-flight task and stalls the batch,
-exactly as before the refactor.  Set a budget (managed mode below) or
-use the subprocess backend when crash detection matters.
+across same-substrate units.  A worker dying *hard* (segfault, OOM
+kill — Python exceptions are caught worker-side) loses its in-flight
+task and stalls the batch.  Set a budget (managed mode below) or use
+the pool backend when crash detection matters.
 
 With a per-unit budget the pool cannot help — a pool task can be
 neither timed nor killed individually — so the backend switches to

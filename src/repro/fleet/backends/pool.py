@@ -1,14 +1,16 @@
 """Pool backend: persistent framed-protocol workers, spawned once.
 
-The subprocess backend pays one interpreter spawn + ``repro`` import +
-substrate synthesis per *unit*; on short units that overhead dominates
-the sweep.  The pool backend spawns ``workers`` loop workers
+Spawning a worker costs one interpreter start + ``repro`` import +
+substrate synthesis; paid per *unit*, that overhead would dominate a
+sweep of short units.  The pool backend spawns ``workers`` loop workers
 (``python -m repro.fleet.backends.worker --loop``) once per fleet and
 streams many length-prefixed frames over each worker's stdin/stdout
 (pickled payload in, JSON record out — see
 :mod:`repro.fleet.backends.worker` for the framing), so startup is paid
 once and each worker's in-process substrate cache survives between
-units.
+units.  Because a worker is a plain command, pointing ``worker_cmd`` at
+``ssh host python -m ...`` or ``docker run ...`` moves it elsewhere
+without touching the orchestration layers (the remote backend).
 
 Dispatch is *sticky by substrate affinity*: every payload carries the
 scheduler's :func:`~repro.fleet.scheduler.substrate_affinity` key, and
@@ -18,11 +20,12 @@ last, maximizing warm-cache hits (``pool.affinity_hits`` /
 a busy worker, an idle worker steals the oldest payload rather than
 idling — stickiness is a cache heuristic, never a scheduling barrier.
 
-Failure semantics match the subprocess backend: over-deadline workers
-are killed and their unit recorded ``"timeout"``; a worker that closes
-its stream or emits an unreadable frame yields a ``"crashed"`` record
-(with exit code + stderr excerpt) for the scheduler to retry, and the
-worker is respawned in place.  The backend holds OS resources, so it
+Over-deadline workers are killed and their unit recorded
+``"timeout"``; a worker that closes its stream or emits an unreadable
+frame yields a ``"crashed"`` record (with exit code + stderr excerpt)
+for the scheduler to retry, and the worker is respawned in place.
+Worker stderr is spooled to an unlinked temp file rather than a pipe,
+so a noisy worker can never deadlock against the dispatcher.  The backend holds OS resources, so it
 must be closed — the scheduler context-manages every backend it
 creates, including on error paths.
 """
@@ -35,9 +38,11 @@ import pickle
 import select
 import shlex
 import subprocess
+import sys
 import tempfile
 import time
 from collections import deque
+from pathlib import Path
 from typing import IO, Iterator, Sequence
 
 import repro.telemetry as tele
@@ -48,16 +53,36 @@ from repro.fleet.backends.base import (
     crash_record,
     timeout_record,
 )
-from repro.fleet.backends.subproc import (
-    _STDERR_EXCERPT,
-    _worker_env,
-    default_worker_cmd,
-)
 from repro.fleet.backends.worker import FRAME_HEADER_LEN, MAX_FRAME_LEN
 
 #: Select timeout cap when no unit deadline is nearer (keeps the loop
 #: responsive to worker death even on unbudgeted fleets).
 _WAIT_CAP_S = 1.0
+
+#: Characters of stderr quoted in crash diagnostics.
+_STDERR_EXCERPT = 400
+
+
+def default_worker_cmd() -> list[str]:
+    """The bundled loop worker under this interpreter."""
+    return [sys.executable, "-m", "repro.fleet.backends.worker", "--loop"]
+
+
+def _worker_env() -> dict[str, str]:
+    """Child environment with the ``repro`` package made importable.
+
+    ``PYTHONPATH=src`` style relative entries break when the fleet runs
+    from another working directory, so the absolute directory holding
+    the installed/checked-out ``repro`` package is prepended.
+    """
+    import repro
+
+    package_root = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH", "")
+    entries = [package_root] + [p for p in existing.split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
+    return env
 
 
 def resolve_worker_cmd(template: str, host: str = "localhost") -> list[str]:
@@ -69,7 +94,7 @@ def resolve_worker_cmd(template: str, host: str = "localhost") -> list[str]:
     remote shape).
     """
     if not template:
-        return default_worker_cmd() + ["--loop"]
+        return default_worker_cmd()
     try:
         rendered = template.format(host=host)
     except (KeyError, IndexError) as exc:
@@ -194,11 +219,7 @@ class PoolBackend(ExecutionBackend):
         worker_cmd: Sequence[str] | None = None,
     ) -> None:
         super().__init__(workers=workers)
-        self.worker_cmd = (
-            list(worker_cmd)
-            if worker_cmd
-            else default_worker_cmd() + ["--loop"]
-        )
+        self.worker_cmd = list(worker_cmd) if worker_cmd else default_worker_cmd()
         self._pool: list[_LoopWorker] = []
         #: Sticky routing: affinity key -> worker index that served it
         #: last.  Persists across batches/rungs for the fleet lifetime.

@@ -6,7 +6,7 @@ enforced *post hoc*: an over-budget unit completes its solve and is
 then recorded as ``status: "timeout"`` (with the same record shape the
 killing backends produce), which keeps budget semantics consistent
 across backends at the price of not actually saving the wall time.
-Use ``local`` or ``subprocess`` when budgets must kill.
+Use ``local`` or ``pool`` when budgets must kill.
 """
 
 from __future__ import annotations

@@ -276,7 +276,6 @@ def compile_spec(spec: RunSpec) -> CompiledRun:
             markov=MarkovConfig(
                 beta=effective_beta(solver.beta),
                 hop_rule=solver.hop_rule,
-                kernel=solver.kernel,
             ),
             initial_policy=solver.policy,
             agrank=AgRankConfig(n_ngbr=solver.n_ngbr)
@@ -353,7 +352,7 @@ def execute_payload(
 
     This is the worker-side entry every execution backend funnels
     through — the ``multiprocessing`` pool, the in-process serial path
-    and the ``repro.fleet.backends.worker`` subprocess module alike.
+    and the ``repro.fleet.backends.worker`` loop workers alike.
     The payload is plain picklable data (no live objects), so it can
     cross process and machine boundaries; a unit that fails to compile
     or simulate comes back as a ``status: "error"`` record rather than
@@ -362,7 +361,7 @@ def execute_payload(
     With ``telemetry`` enabled a unit-scope collector is active for the
     duration: the record gains flattened ``timings``/``counters`` blocks
     plus a transient ``telemetry`` dict (the full span tree), which the
-    orchestrator strips into ``telemetry.jsonl`` — so subprocess-worker
+    orchestrator strips into ``telemetry.jsonl`` — so pool-worker
     telemetry rides the existing record pipe across the pickle boundary.
     Metrics are derived before telemetry is attached; results are
     bit-identical with telemetry on or off.

@@ -60,12 +60,11 @@ def unit_run_id(resolved: RunSpec, axes: dict[str, object]) -> str:
     edited trace.  A missing file hashes as the bare spec; compilation
     raises the real diagnostic.
 
-    ``execution.*`` and ``solver.kernel`` axis values are folded in as
-    well: both are excluded from :func:`~repro.fleet.spec.spec_hash`
-    (scheduling / performance config, not computation identity), but a
-    sweep that *compares* backends, budgets or kernels still needs one
-    cache slot per axis value, or every grid point would collapse onto
-    one record.
+    ``execution.*`` axis values are folded in as well: they are
+    excluded from :func:`~repro.fleet.spec.spec_hash` (scheduling
+    config, not computation identity), but a sweep that *compares*
+    backends or budgets still needs one cache slot per axis value, or
+    every grid point would collapse onto one record.
 
     ``faults.*`` needs no such folding: a non-default ``faults:``
     section changes computation identity, so :func:`~repro.fleet.spec.
@@ -77,7 +76,7 @@ def unit_run_id(resolved: RunSpec, axes: dict[str, object]) -> str:
     exec_axes = {
         path: value
         for path, value in axes.items()
-        if path.startswith("execution.") or path == "solver.kernel"
+        if path.startswith("execution.")
     }
     if exec_axes:
         canonical = json.dumps(exec_axes, sort_keys=True, separators=(",", ":"))

@@ -118,7 +118,7 @@ class FleetOrchestrator:
 
     Constructor arguments override the spec's ``execution:`` section
     (None defers to the spec): ``backend`` picks the dispatch mechanism
-    (``serial`` / ``local`` / ``subprocess`` / ``pool`` / ``remote``),
+    (``serial`` / ``local`` / ``pool`` / ``remote``),
     ``workers`` the pool size, ``unit_timeout_s`` the per-unit
     wall-time budget, ``max_retries`` the crash re-dispatch count and
     ``total_budget_s`` the fleet-level wall-clock allowance (spent →

@@ -33,7 +33,6 @@ from pathlib import Path
 
 import yaml
 
-from repro.core.search import KERNELS as SOLVER_KERNELS
 from repro.errors import ModelError, SpecError
 from repro.netsim.sites import known_region_names, known_site_names, region
 from repro.runtime.faults import FAULT_KINDS, FAULT_POLICIES
@@ -53,9 +52,7 @@ TRACE_HOLDING_KINDS: tuple[str, ...] = HOLDING_KINDS
 LADDER_NAMES: tuple[str, ...] = ("360p", "480p", "720p", "1080p")
 
 #: Execution backends the orchestrator can dispatch run units through.
-BACKEND_KINDS: tuple[str, ...] = (
-    "serial", "local", "subprocess", "pool", "remote"
-)
+BACKEND_KINDS: tuple[str, ...] = ("serial", "local", "pool", "remote")
 
 #: Metrics a successive-halving rung may rank grid points by (all
 #: lower-is-better; see ``repro.analysis.report.LOWER_IS_BETTER``).
@@ -336,12 +333,6 @@ class SolverSpec:
     #: Paper-unit beta, mapped through the shared calibration constant.
     beta: float = 400.0
     hop_rule: str = "paper"
-    #: Candidate-evaluation kernel (:data:`repro.core.search.KERNELS`).
-    #: All kernels are bit-identical, so the choice is a performance
-    #: switch — it is excluded from :func:`spec_hash` (sweeps over it
-    #: still get distinct unit cache slots via
-    #: :func:`repro.fleet.matrix.unit_run_id`).
-    kernel: str = "arrays"
     #: AgRank candidate pool size (policy "agrank" only).
     n_ngbr: int = 2
     alpha1: float = 1.0
@@ -359,11 +350,6 @@ class SolverSpec:
             raise SpecError(
                 f"solver.hop_rule {self.hop_rule!r} is unknown; "
                 f"choose from {HOP_RULES}"
-            )
-        if self.kernel not in SOLVER_KERNELS:
-            raise SpecError(
-                f"solver.kernel {self.kernel!r} is unknown; "
-                f"choose from {SOLVER_KERNELS}"
             )
         if self.beta <= 0:
             raise SpecError(f"solver.beta must be positive, got {self.beta}")
@@ -750,12 +736,6 @@ class HalvingSpec:
     eta: float = 2.0
     #: Ranking metric (lower is better).
     metric: str = "phi"
-    #: Promote points rung-to-rung as soon as enough *completed* peers
-    #: rank provably behind them (ASHA-style streaming), instead of
-    #: barriering on whole rungs.  The promotion rule is conservative:
-    #: the surviving points — and their records — are byte-identical to
-    #: the synchronous plan, only the wall-clock schedule changes.
-    asynchronous: bool = False
 
     def __post_init__(self) -> None:
         _coerce_declared_scalars(self)
@@ -792,10 +772,9 @@ class ExecutionSpec:
     """
 
     #: Dispatch mechanism: "serial" (in-process), "local"
-    #: (multiprocessing pool), "subprocess" (one self-contained worker
-    #: command per unit), "pool" (persistent framed-protocol workers
-    #: spawned once per fleet) or "remote" (pool workers spread over an
-    #: ``hosts`` inventory via ``worker_cmd`` templating).
+    #: (multiprocessing pool), "pool" (persistent framed-protocol
+    #: workers spawned once per fleet) or "remote" (pool workers spread
+    #: over a ``hosts`` inventory via ``worker_cmd`` templating).
     backend: str = "local"
     #: Concurrent workers (<= 1 runs serially even on "local"; for
     #: "remote" this is the worker count *per host*).
@@ -1115,10 +1094,7 @@ def spec_hash(spec: RunSpec) -> str:
     The ``execution`` section is excluded: it configures *how* units are
     dispatched (backend, pool size, budgets), never what they compute,
     so re-running a spec on a different backend reuses the cache instead
-    of re-solving identical units.  ``solver.kernel`` is excluded for
-    the same reason: every kernel produces bit-identical trajectories
-    (pinned by the core equivalence suites), so the choice never changes
-    what a run computes.  A *default* (fault-free) ``faults`` section is
+    of re-solving identical units.  A *default* (fault-free) ``faults`` section is
     dropped before hashing, so declaring the empty section is identical
     to omitting it — pre-fault run ids and cached results stay valid;
     any non-default faults content (windows, chaos knobs, policy) folds
@@ -1126,7 +1102,6 @@ def spec_hash(spec: RunSpec) -> str:
     """
     data = spec.to_dict()
     data.pop("execution", None)
-    data.get("solver", {}).pop("kernel", None)
     if data.get("faults") == _plain(FaultsSpec()):
         data.pop("faults", None)
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -51,7 +51,7 @@ class LiveConference:
     active_sids:
         The initially active sessions.
     markov:
-        HOP configuration (beta, hop rule, kernel) for the wrapped
+        HOP configuration (beta, hop rule) for the wrapped
         solver.
     initial_policy / agrank:
         The arrival-placement policy: ``"nearest"`` or ``"agrank"``

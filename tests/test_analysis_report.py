@@ -169,6 +169,36 @@ class TestLoader:
         run = load_fleet_run(tmp_path)
         assert run.spec is None and len(run.records) == 1
 
+    def test_report_renders_run_with_retired_spec_fields(
+        self, fleet_dirs, tmp_path, capsys
+    ):
+        """A run directory whose stored spec still carries retired
+        fields (``solver.kernel``, ``execution.halving.asynchronous``,
+        ``backend: subprocess``) renders: the spec no longer parses, so
+        the report falls back to unknown spec cells."""
+        import shutil
+
+        import yaml
+
+        from repro.cli import main
+
+        base_dir, _ = fleet_dirs
+        old = tmp_path / "old"
+        shutil.copytree(base_dir, old)
+        spec_path = old / "spec.yaml"
+        data = yaml.safe_load(spec_path.read_text(encoding="utf-8"))
+        data["solver"]["kernel"] = "batched"
+        data["execution"]["backend"] = "subprocess"
+        data["execution"]["halving"]["asynchronous"] = True
+        spec_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+
+        run = load_fleet_run(old)
+        assert run.spec is None and len(run.ok_records) == 2
+        assert main(["fleet", "report", str(old)]) == 0
+        assert "2 runs recorded (2 ok, 0 failed)" in capsys.readouterr().out
+        assert main(["fleet", "report", str(base_dir), "--compare", str(old)]) == 0
+        assert "spec diff" in capsys.readouterr().out
+
     def test_duplicate_labels_deduped(self, tmp_path):
         for sub in ("a/out", "b/out"):
             d = tmp_path / sub

@@ -195,6 +195,24 @@ simulation:
         )
         assert "replicates must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--backend", "subprocess"], "invalid choice: 'subprocess'"),
+            (["--asha"], "unrecognized arguments: --asha"),
+        ],
+        ids=["backend-subprocess", "asha"],
+    )
+    def test_fleet_retired_flags_rejected(self, tmp_path, capsys, flags, named):
+        """Retired execution options fail at parse time, naming the
+        flag, before anything is executed or written."""
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "sweep", "prototype_smoke", "--out", str(out_dir), *flags])
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_fleet_run_directory_rejected(self, tmp_path, capsys):
         assert main(["fleet", "run", str(tmp_path)]) == 2
         assert "neither a spec file nor a library spec" in capsys.readouterr().err

@@ -1,6 +1,11 @@
 """Tests for repro.core.fastpath — exact agreement with the reference
 implementations on every workload the suite touches."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +90,49 @@ class TestProfileCache:
     def test_profile_for_reuses_instance(self):
         conf = build_pair_conference("720p", "480p", "480p", "720p")
         assert profile_for(conf) is profile_for(conf)
+
+    def test_profile_freed_with_its_conference(self):
+        """The profile lives exactly as long as its conference: a
+        long-lived process that compiles and runs many specs holds no
+        profile (or conference) beyond the run that built it."""
+        from repro.fleet.compile import compile_spec, run_record
+        from repro.fleet.library import load_library_spec
+        from repro.fleet.orchestrator import expand_matrix
+
+        spec = expand_matrix(load_library_spec("prototype_smoke"))[0].spec
+        compiled = compile_spec(spec)
+        run_record(compiled)
+        conference = weakref.ref(compiled.conference)
+        profile = weakref.ref(profile_for(compiled.conference))
+        assert compiled.evaluator.profile is profile()
+        del compiled
+        gc.collect()
+        assert conference() is None
+        assert profile() is None
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda conf: pickle.loads(pickle.dumps(conf))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_cloned_conference_owns_an_equal_profile(self, clone, rng):
+        """A copied conference carries its own profile (never the
+        original's instance) and it evaluates bit-for-bit the same."""
+        conf = build_pair_conference("720p", "480p", "480p", "720p")
+        profile = profile_for(conf)
+        twin = clone(conf)
+        twin_profile = profile_for(twin)
+        assert twin_profile is not profile
+        assert profile_for(twin) is twin_profile
+        for _ in range(5):
+            a = random_assignment(conf, rng)
+            usage = profile.session_usage(a.user_agent, a.task_agent, 0)
+            twin_usage = twin_profile.session_usage(a.user_agent, a.task_agent, 0)
+            for field in ("inter_in", "inter_out", "download", "upload", "transcodes"):
+                assert np.array_equal(getattr(usage, field), getattr(twin_usage, field))
+            assert profile.session_delays(
+                a.user_agent, a.task_agent, 0
+            ) == twin_profile.session_delays(a.user_agent, a.task_agent, 0)
 
     def test_sigma_table_shape(self, proto_conf):
         profile = ConferenceProfile(proto_conf)

@@ -188,8 +188,7 @@ class TestMetropolisHastings:
             np.log(4.0)
         )
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_count_feasible_matches_probe_context(self, batched):
+    def test_count_feasible_matches_probe_context(self):
         """The backward degree equals what the old full-SearchContext
         probe computed, without rebuilding any search state."""
         from repro.workloads.scenarios import ScenarioParams, scenario_conference
@@ -207,14 +206,13 @@ class TestMetropolisHastings:
             conference, ObjectiveWeights.normalized_for(conference)
         )
         assignment = nearest_assignment(conference)
-        context = SearchContext(evaluator, assignment, batched=batched)
+        context = SearchContext(evaluator, assignment)
         for sid in range(min(4, conference.num_sessions)):
             for candidate in context.feasible_candidates(sid)[:5]:
                 probe = SearchContext(
                     evaluator,
                     candidate.assignment,
                     active_sids=context.active_sessions,
-                    batched=batched,
                 )
                 expected = len(probe.feasible_candidates(sid))
                 assert context.count_feasible(sid, candidate.assignment) == expected

@@ -12,6 +12,7 @@ from repro.core.theory import (
     expected_phi,
     generator_matrix,
     gibbs_distribution,
+    logsumexp,
     optimality_gap_bound,
     perturbed_stationary,
     simulate_occupancy,
@@ -66,6 +67,44 @@ class TestGibbsAndBounds:
         for beta in (0.5, 2.0, 10.0, 50.0, 400.0):
             lower, phi_hat, upper = eq10_bounds(space.phis, beta)
             assert lower - 1e-12 <= phi_hat <= upper + 1e-12
+
+    def test_logsumexp_is_stable_and_exact(self):
+        assert logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
+        assert logsumexp(np.array([-1000.0])) == -1000.0
+        assert logsumexp(np.array([0.0, -np.inf])) == 0.0
+        values = np.random.default_rng(3).normal(size=50) * 30.0
+        assert logsumexp(values) == pytest.approx(
+            np.log(np.exp(values).sum()), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ([-np.inf, -np.inf], -np.inf),
+            ([np.inf, 1.0], np.inf),
+            ([np.nan, 1.0], np.nan),
+        ],
+        ids=["all-minus-inf", "plus-inf", "nan"],
+    )
+    def test_logsumexp_non_finite_inputs(self, values, expected):
+        """Non-finite inputs give scipy's answers, and stay silent: a
+        zero-weight state is ``log(0) = -inf`` in the Gibbs sums."""
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = logsumexp(np.array(values))
+        np.testing.assert_equal(result, expected)
+
+    def test_logsumexp_matches_scipy_bitwise(self):
+        """Where scipy is installed, the numpy helper reproduces its
+        bits, so theory artifacts are unchanged by dropping scipy."""
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 7, 8, 9, 130, 1000):
+            values = rng.normal(size=size) * 100.0
+            values[0] = values.max()  # tied maxima
+            assert logsumexp(values) == special.logsumexp(values)
 
     def test_uap_beta_optimum_approaches_min(self, toy_space):
         _conf, _ev, space = toy_space

@@ -191,14 +191,14 @@ class TestBudgetedSweepWalkthrough:
                 k: v for k, v in r.items() if k != "wall_time_s"
             }
             assert strip(record) == strip(by_id[record["run_id"]])
-        # The subprocess-backend run produced a clean record too.
+        # The budgeted pool-backend run produced a clean record too.
         sub = records("sub")
         assert [r["status"] for r in sub] == ["ok"]
 
 
 class TestClusterSweepWalkthrough:
     """The EXPERIMENTS.md cluster-sweep commands actually execute, and
-    the pool/remote/ASHA/budget claims the section makes hold."""
+    the pool/remote/budget claims the section makes hold."""
 
     @pytest.fixture(scope="class")
     def walkthrough(self):
@@ -206,7 +206,7 @@ class TestClusterSweepWalkthrough:
         section = text.split("## Cluster sweeps", 1)[1]
         section = section.split("\n## ", 1)[0]
         commands = fenced_repro_commands(section)
-        assert len(commands) == 5, commands
+        assert len(commands) == 4, commands
         return commands
 
     def test_walkthrough_executes(
@@ -232,20 +232,6 @@ class TestClusterSweepWalkthrough:
         # The remote run (localhost inventory) produced a clean record.
         remote = records("remote")
         assert [r["status"] for r in remote] == ["ok"]
-        # ASHA prunes the same units as the synchronous plan would, and
-        # its surviving records are bit-identical to the full pooled run.
-        asha = records("asha")
-        assert len(asha) == 8
-        statuses = [r["status"] for r in asha]
-        assert statuses.count("ok") == 6 and statuses.count("pruned") == 2
-        by_id = {r["run_id"]: r for r in pooled}
-        # The pooled run embeds telemetry (`--telemetry`); drop the same
-        # volatile fields canonical_results_digest does.
-        volatile = {"wall_time_s", "counters", "timings", "attempts"}
-        strip = lambda r: {k: v for k, v in r.items() if k not in volatile}
-        for record in asha:
-            if record["status"] == "ok":
-                assert strip(record) == strip(by_id[record["run_id"]])
         # The starved sweep dispatched nothing: first-class unscheduled
         # records, counted apart from failures.
         starved = records("starved")
@@ -301,10 +287,8 @@ class TestProfilingSweepWalkthrough:
 
 
 class TestScaleSweepWalkthrough:
-    """The EXPERIMENTS.md scale-sweep commands execute, and the claim
-    they make — per-scale records identical across kernels except for
-    the kernel axis, the unit id it is folded into, and wall time —
-    holds on the actual output."""
+    """The EXPERIMENTS.md scale-sweep commands execute: one clean record
+    per conference size."""
 
     @pytest.fixture(scope="class")
     def walkthrough(self):
@@ -326,36 +310,11 @@ class TestScaleSweepWalkthrough:
             encoding="utf-8"
         )
         records = [json.loads(line) for line in results.splitlines()]
-        assert len(records) == 4  # 2 sizes x 2 kernels
-        assert all(record["status"] == "ok" for record in records)
-
-        def essence(record):
-            stripped = {
-                k: v
-                for k, v in record.items()
-                if k not in ("wall_time_s", "run_id", "axes")
-            }
-            stripped["axes"] = {
-                k: v
-                for k, v in record["axes"].items()
-                if k != "solver.kernel"
-            }
-            return stripped
-
-        by_scale_kernel = {
-            (
-                record["axes"]["workload.num_users"],
-                record["axes"]["solver.kernel"],
-            ): record
-            for record in records
-        }
-        for scale in (40, 80):
-            batched = by_scale_kernel[(scale, "batched")]
-            arrays = by_scale_kernel[(scale, "arrays")]
-            assert essence(batched) == essence(arrays)
-            # The kernel axis is folded into the unit id (distinct
-            # cache slots), even though it is outside run identity.
-            assert batched["run_id"] != arrays["run_id"]
+        assert [r["status"] for r in records] == ["ok", "ok"]
+        assert [r["axes"] for r in records] == [
+            {"workload.num_users": 40},
+            {"workload.num_users": 80},
+        ]
 
 
 class TestComparingFleetsWalkthrough:

@@ -16,7 +16,11 @@ from collections import deque
 import pytest
 
 import repro.telemetry as tele
-from repro.analysis.report import canonical_results_digest
+from repro.analysis.report import (
+    VOLATILE_RECORD_FIELDS,
+    canonical_results_digest,
+    record_schema_version,
+)
 from repro.errors import SpecError
 from repro.fleet.backends import (
     PoolBackend,
@@ -27,7 +31,7 @@ from repro.fleet.backends import (
     default_worker_cmd,
     resolve_worker_cmd,
 )
-from repro.fleet.backends.worker import read_frame, write_frame
+from repro.fleet.backends.worker import read_frame, serve_loop, write_frame
 from repro.fleet.matrix import expand_matrix
 from repro.fleet.orchestrator import FleetOrchestrator
 from repro.fleet.scheduler import FleetScheduler
@@ -112,7 +116,7 @@ class TestLoopWorkerProtocol:
         and exits 0 on clean stdin EOF — the real wire protocol."""
         payloads = payloads_for(golden_spec())[:2]
         proc = subprocess.Popen(
-            default_worker_cmd() + ["--loop"],
+            default_worker_cmd(),
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             env=_worker_src_env(),
@@ -131,17 +135,53 @@ class TestLoopWorkerProtocol:
         assert [r["run_id"] for r in records] == [
             p.run_id for p in payloads
         ]
+        # Writers stamp the minimal version describing the record — a
+        # no-fault unit stays at the pre-fault-layer schema.
+        assert all(
+            r["schema_version"] == record_schema_version(r) for r in records
+        )
 
-    def test_unknown_worker_args_exit_2(self):
+    def test_serve_loop_in_process_matches_serial(self):
+        """``serve_loop`` is the importable worker entry (wrapped by
+        custom worker scripts): frames in, one record frame out per
+        payload, exit 0 on EOF — and the records are the serial
+        backend's, field for field outside the volatile ones."""
+        payloads = payloads_for(golden_spec())[:2]
+        stdin = io.BytesIO()
+        for payload in payloads:
+            write_frame(stdin, pickle.dumps(payload.to_wire()))
+        stdin.seek(0)
+        stdout = io.BytesIO()
+        assert serve_loop(stdin, stdout) == 0
+        stdout.seek(0)
+        records = []
+        while (frame := read_frame(stdout)) is not None:
+            records.append(json.loads(frame.decode("utf-8")))
+        serial = list(SerialBackend().execute(payloads))
+
+        def stable(record):
+            return {
+                key: value
+                for key, value in record.items()
+                if key not in VOLATILE_RECORD_FIELDS
+            }
+
+        assert [r["run_id"] for r in records] == [p.run_id for p in payloads]
+        assert [stable(r) for r in records] == [stable(r) for r in serial]
+
+    @pytest.mark.parametrize("args", [["--bogus"], []])
+    def test_invocations_other_than_loop_exit_2(self, args):
+        """``--loop`` is the only protocol; there is no one-shot mode."""
         proc = subprocess.run(
-            default_worker_cmd() + ["--bogus"],
-            input=b"",
+            default_worker_cmd()[:-1] + args,
+            input=pickle.dumps(payloads_for(single_spec())[0].to_wire()),
             capture_output=True,
             env=_worker_src_env(),
             timeout=120,
         )
         assert proc.returncode == 2
-        assert "unknown worker argument" in proc.stderr.decode()
+        assert proc.stdout == b""
+        assert "--loop" in proc.stderr.decode()
 
 
 class TestPoolEquivalence:
@@ -206,7 +246,7 @@ def _crashy_loop_worker(tmp_path, crash_seed: int) -> list[str]:
         textwrap.dedent(
             f"""\
             import json, pickle, sys
-            from repro.fleet.backends.worker import read_frame, write_frame
+            from repro.fleet.backends.worker import read_frame, serve_loop, write_frame
             from repro.fleet.compile import execute_payload
 
             while True:
@@ -239,7 +279,7 @@ def _sleepy_loop_worker(tmp_path, sleep_seed: int) -> list[str]:
         textwrap.dedent(
             f"""\
             import json, pickle, sys, time
-            from repro.fleet.backends.worker import read_frame, write_frame
+            from repro.fleet.backends.worker import read_frame, serve_loop, write_frame
             from repro.fleet.compile import execute_payload
 
             while True:
@@ -311,9 +351,48 @@ class TestPoolFailurePaths:
         assert set(by_status) == {"ok", "timeout"}
         assert "UnitTimeout" in by_status["timeout"]["error"]
 
+    def test_noisy_worker_output_cannot_deadlock_dispatch(self, tmp_path):
+        """A worker spewing far more than one OS pipe buffer (~64 KiB)
+        on stderr must still complete: worker stderr is spooled to a
+        temp file, never to a pipe the dispatcher would leave full."""
+        noisy = tmp_path / "noisy_loop.py"
+        noisy.write_text(
+            textwrap.dedent(
+                """\
+                import sys
+                from repro.fleet.backends.worker import serve_loop
+
+                for _ in range(2000):
+                    print("x" * 120, file=sys.stderr)  # ~240 KiB
+                sys.exit(serve_loop(sys.stdin.buffer, sys.stdout.buffer))
+                """
+            ),
+            encoding="utf-8",
+        )
+        backend = PoolBackend(workers=1, worker_cmd=[sys.executable, str(noisy)])
+        try:
+            records = list(backend.execute(payloads_for(golden_spec())))
+        finally:
+            backend.close()
+        assert [record["status"] for record in records] == ["ok"] * 4
+
+    def test_worker_env_survives_foreign_cwd(self, tmp_path, monkeypatch):
+        """The dispatcher absolutizes PYTHONPATH for its children, so a
+        fleet started from an unrelated working directory still finds
+        the repro package in its workers."""
+        monkeypatch.chdir(tmp_path)
+        backend = PoolBackend(workers=1)
+        try:
+            records = list(backend.execute(payloads_for(single_spec())))
+        finally:
+            backend.close()
+        assert [record["status"] for record in records] == ["ok"]
+
     def test_crash_retried_end_to_end_then_errors(self, tmp_path, monkeypatch):
         """Through the orchestrator: the pool crash is retried, gives up
-        as a first-class error record, and the healthy unit survives."""
+        as a first-class error record, the healthy unit survives, and a
+        later run with healthy workers re-executes only the failed unit
+        through the resume cache."""
         from repro.fleet import scheduler as scheduler_module
 
         worker_cmd = _crashy_loop_worker(tmp_path, crash_seed=4)
@@ -331,7 +410,13 @@ class TestPoolFailurePaths:
         assert result.failed == 1
         error = [r for r in result.records if r["status"] == "error"][0]
         assert "gave up after 2 attempt(s)" in error["error"]
+        assert "WorkerCrash" in error["error"]
         assert error["attempts"] == 2
+
+        monkeypatch.undo()
+        retry = FleetOrchestrator(out, backend="pool").run(self.crash_spec())
+        assert retry.executed == 1 and retry.skipped == 1
+        assert retry.failed == 0
 
     def test_close_reaps_worker_processes(self):
         backend = PoolBackend(workers=2)
@@ -354,7 +439,7 @@ class TestRemoteQuarantine:
             textwrap.dedent(
                 """\
                 import json, pickle, sys
-                from repro.fleet.backends.worker import read_frame, write_frame
+                from repro.fleet.backends.worker import read_frame, serve_loop, write_frame
 
                 if sys.argv[1] == "bad":
                     print("host down", file=sys.stderr)
@@ -452,7 +537,8 @@ class TestRemoteQuarantine:
 
 class TestWorkerCmdTemplate:
     def test_empty_template_is_bundled_loop_worker(self):
-        assert resolve_worker_cmd("") == default_worker_cmd() + ["--loop"]
+        assert resolve_worker_cmd("") == default_worker_cmd()
+        assert default_worker_cmd()[-1] == "--loop"
 
     def test_host_substitution(self):
         argv = resolve_worker_cmd(

@@ -1,6 +1,6 @@
 """Fleet scheduler: successive-halving early abort (fewer units than
 the full grid, surviving aggregates identical to an unbudgeted run),
-asynchronous halving's byte-identity guarantee, fleet-level budgets,
+halving under out-of-order arrivals and failures, fleet-level budgets,
 execution-spec validation/sweepability, and scheduling determinism."""
 
 import json
@@ -90,7 +90,7 @@ class TestExecutionSpec:
         plain = grid_spec()
         tuned = grid_spec(
             execution=ExecutionSpec(
-                backend="subprocess",
+                backend="pool",
                 workers=8,
                 unit_timeout_s=120.0,
                 halving=HalvingSpec(rungs=(1,)),
@@ -362,7 +362,7 @@ class TestClusterExecutionSpec:
             worker_cmd="ssh {host} python -m repro.fleet.backends.worker --loop",
             quarantine_after=2,
             total_budget_s=3600.0,
-            halving=HalvingSpec(rungs=(1,), asynchronous=True),
+            halving=HalvingSpec(rungs=(1,)),
         )
         spec = grid_spec(execution=execution)
         assert RunSpec.from_yaml(spec.to_yaml()) == spec
@@ -409,76 +409,32 @@ class _AlwaysCrashBackend(SerialBackend):
                 yield from super().execute([payload], timeout_s)
 
 
-class TestAsyncHalving:
-    def asha_spec(self, replicates: int = 2, rungs=(1,)) -> RunSpec:
+class TestHalvingFailureModes:
+    def halving_spec(self) -> RunSpec:
         return grid_spec(
-            execution=ExecutionSpec(
-                halving=HalvingSpec(rungs=rungs, asynchronous=True)
-            ),
-            replicates=replicates,
+            execution=ExecutionSpec(halving=HalvingSpec(rungs=(1,))),
+            replicates=2,
         )
 
-    def sync_spec(self, replicates: int = 2, rungs=(1,)) -> RunSpec:
-        return grid_spec(
-            execution=ExecutionSpec(halving=HalvingSpec(rungs=rungs)),
-            replicates=replicates,
-        )
-
-    def test_asha_byte_identical_to_sync_single_rung(self, tmp_path):
-        sync = FleetOrchestrator(tmp_path / "sync").run(self.sync_spec())
-        asha = FleetOrchestrator(tmp_path / "asha").run(self.asha_spec())
-        assert asha.executed == sync.executed == 6
-        assert asha.pruned == sync.pruned == 2
-        assert canonical_results_digest(
-            tmp_path / "asha"
-        ) == canonical_results_digest(tmp_path / "sync")
-
-    def test_asha_byte_identical_to_sync_multi_rung(self, tmp_path):
-        sync = FleetOrchestrator(tmp_path / "sync").run(
-            self.sync_spec(replicates=4, rungs=(1, 2))
-        )
-        asha = FleetOrchestrator(tmp_path / "asha").run(
-            self.asha_spec(replicates=4, rungs=(1, 2))
-        )
-        assert asha.executed == sync.executed == 8
-        assert asha.pruned == sync.pruned == 8
-        assert canonical_results_digest(
-            tmp_path / "asha"
-        ) == canonical_results_digest(tmp_path / "sync")
-
-    @pytest.mark.parametrize(
-        "backend", ["serial", "local", "subprocess", "pool"]
-    )
-    def test_asha_agrees_across_backends(self, tmp_path, backend):
-        """The byte-identity guarantee holds on every backend — record
-        arrival order varies wildly between them, the decisions must
-        not."""
+    @pytest.mark.parametrize("backend", ["serial", "local", "pool"])
+    def test_halving_agrees_across_backends(self, tmp_path, backend):
+        """Record arrival order varies wildly between backends; the
+        halving decisions and every persisted byte must not."""
         result = FleetOrchestrator(
             tmp_path / backend, backend=backend, workers=2
-        ).run(self.asha_spec())
+        ).run(self.halving_spec())
         assert result.executed == 6 and result.pruned == 2
         reference = tmp_path / "reference"
-        FleetOrchestrator(reference, backend="serial").run(self.sync_spec())
+        FleetOrchestrator(reference, backend="serial", workers=1).run(
+            self.halving_spec()
+        )
         assert canonical_results_digest(
             tmp_path / backend
         ) == canonical_results_digest(reference)
 
-    def test_asha_resumes_from_cache_like_sync(self, tmp_path):
-        out = tmp_path / "out"
-        first = FleetOrchestrator(out).run(self.asha_spec())
-        again = FleetOrchestrator(out).run(self.asha_spec())
-        assert again.executed == 0
-        assert again.pruned == first.pruned
-        assert [r["status"] for r in again.records] == [
-            r["status"] for r in first.records
-        ]
-
-    def test_nan_metric_prunes_identically_sync_and_async(
-        self, tmp_path, monkeypatch
-    ):
-        """The non-finite guard and ASHA's unknown-score handling
-        compose: a NaN metric scores worst (never poisons the ranking)
-        and both plans prune the same point."""
+    def test_nan_metric_is_pruned(self, tmp_path, monkeypatch):
+        """A NaN metric scores worst (never poisons the ranking), so its
+        point is pruned."""
         from repro.fleet import scheduler as scheduler_module
 
         poison = expand_matrix(grid_spec())[0].run_id  # beta=100, rep 0
@@ -487,28 +443,17 @@ class TestAsyncHalving:
             "create_backend",
             lambda kind, workers=1, **_: _PoisonMetricBackend(poison),
         )
-        results = {}
-        for label, spec in (
-            ("sync", self.sync_spec()),
-            ("asha", self.asha_spec()),
-        ):
-            results[label] = FleetOrchestrator(tmp_path / label).run(spec)
-            pruned_betas = {
-                r["axes"]["solver.beta"]
-                for r in results[label].records
-                if r["status"] == "pruned"
-            }
-            assert 100 in pruned_betas, label
-        assert canonical_results_digest(
-            tmp_path / "sync"
-        ) == canonical_results_digest(tmp_path / "asha")
+        result = FleetOrchestrator(tmp_path / "out").run(self.halving_spec())
+        pruned_betas = {
+            r["axes"]["solver.beta"]
+            for r in result.records
+            if r["status"] == "pruned"
+        }
+        assert 100 in pruned_betas
 
-    def test_retry_exhaustion_prunes_identically_sync_and_async(
-        self, tmp_path, monkeypatch
-    ):
+    def test_retry_exhaustion_is_pruned(self, tmp_path, monkeypatch):
         """A unit crashing through all its retries becomes an error
-        record, scores inf, and is pruned — the same way on both
-        plans (the retry/promotion interaction)."""
+        record, scores inf, and its point is pruned."""
         from repro.fleet import scheduler as scheduler_module
 
         crash = expand_matrix(grid_spec())[0].run_id
@@ -517,34 +462,16 @@ class TestAsyncHalving:
             "create_backend",
             lambda kind, workers=1, **_: _AlwaysCrashBackend(crash),
         )
-        for label, spec in (
-            ("sync", self.sync_spec()),
-            ("asha", self.asha_spec()),
-        ):
-            result = FleetOrchestrator(
-                tmp_path / label, max_retries=1
-            ).run(spec)
-            by_status = {}
-            for record in result.records:
-                by_status.setdefault(record["status"], []).append(record)
-            assert len(by_status["error"]) == 1, label
-            assert by_status["error"][0]["attempts"] == 2, label
-            pruned_betas = {
-                r["axes"]["solver.beta"] for r in by_status["pruned"]
-            }
-            assert 100 in pruned_betas, label
-        assert canonical_results_digest(
-            tmp_path / "sync"
-        ) == canonical_results_digest(tmp_path / "asha")
-
-    def test_asha_counts_promotions(self, tmp_path):
-        from repro.telemetry import load_run_telemetry
-
-        out = tmp_path / "out"
-        FleetOrchestrator(out, telemetry=True).run(self.asha_spec())
-        counters = load_run_telemetry(out).fleet["counters"]
-        # 4 points, keep 2: exactly the survivors promote out of rung 0.
-        assert counters["scheduler.asha_promotions"] == 2
+        result = FleetOrchestrator(tmp_path / "out", max_retries=1).run(
+            self.halving_spec()
+        )
+        by_status = {}
+        for record in result.records:
+            by_status.setdefault(record["status"], []).append(record)
+        assert len(by_status["error"]) == 1
+        assert by_status["error"][0]["attempts"] == 2
+        pruned_betas = {r["axes"]["solver.beta"] for r in by_status["pruned"]}
+        assert 100 in pruned_betas
 
 
 class TestFleetBudget:
@@ -599,18 +526,13 @@ class TestFleetBudget:
             reference
         )
 
-    @pytest.mark.parametrize("asynchronous", [False, True])
-    def test_budget_starved_halving_unschedules_not_prunes(
-        self, tmp_path, asynchronous
-    ):
+    def test_budget_starved_halving_unschedules_not_prunes(self, tmp_path):
         """When the budget dies mid-halving, un-run replicates are a
         resource decision (unscheduled), never a ranking decision
         (pruned on a starved rung)."""
         spec = grid_spec(
             execution=ExecutionSpec(
-                halving=HalvingSpec(
-                    rungs=(1,), asynchronous=asynchronous
-                ),
+                halving=HalvingSpec(rungs=(1,)),
                 total_budget_s=1e-9,
             )
         )

@@ -156,6 +156,35 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "section,key,value,named",
+        [
+            ("solver", "kernel", "arrays", r"spec\.solver: unknown key\(s\) \['kernel'\]"),
+            (
+                "execution.halving",
+                "asynchronous",
+                True,
+                r"spec\.execution\.halving: unknown key\(s\) \['asynchronous'\]",
+            ),
+            ("execution", "backend", "subprocess", r"execution\.backend 'subprocess'"),
+        ],
+        ids=["solver.kernel", "halving.asynchronous", "backend.subprocess"],
+    )
+    def test_retired_fields_rejected_by_name(self, section, key, value, named):
+        """Options removed from the spec fail loudly, naming the field,
+        from both the mapping and the YAML entry points."""
+        data = RunSpec(name="retired").to_dict()
+        target = data
+        for part in section.split("."):
+            target = target[part]
+        target[key] = value
+        with pytest.raises(SpecError, match=named):
+            RunSpec.from_dict(data)
+        import yaml
+
+        with pytest.raises(SpecError, match=named):
+            RunSpec.from_yaml(yaml.safe_dump(data))
+
     def test_unknown_region_rejected(self):
         with pytest.raises(SpecError, match="unknown cloud region"):
             TopologySpec(regions=("Atlantis",))

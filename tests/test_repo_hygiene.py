@@ -124,3 +124,116 @@ class TestExamplesImportable:
 
         for script in sorted((REPO_ROOT / "examples").glob("*.py")):
             py_compile.compile(str(script), doraise=True)
+
+
+class TestDeclaredDependencies:
+    """The package imports only what ``setup.py`` declares, so it
+    installs and runs with exactly its declared dependencies."""
+
+    #: Distribution name -> top-level import name, where they differ.
+    IMPORT_NAMES = {"PyYAML": "yaml"}
+
+    @staticmethod
+    def _install_requires() -> list[str]:
+        import ast
+
+        tree = ast.parse((REPO_ROOT / "setup.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "install_requires":
+                return [ast.literal_eval(item) for item in node.value.elts]
+        raise AssertionError("setup.py declares no install_requires")
+
+    @staticmethod
+    def _extras_require(extra: str) -> list[str]:
+        import ast
+
+        tree = ast.parse((REPO_ROOT / "setup.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "extras_require":
+                return list(ast.literal_eval(node.value)[extra])
+        raise AssertionError("setup.py declares no extras_require")
+
+    @staticmethod
+    def _third_party_imports(package: Path | None = None) -> dict[str, list[str]]:
+        import ast
+        import sys
+
+        package = package or Path(repro.__file__).resolve().parent
+        found: dict[str, list[str]] = {}
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top in sys.stdlib_module_names or top in (
+                        "repro",
+                        "tests",
+                        "__future__",
+                    ):
+                        continue
+                    found.setdefault(top, []).append(
+                        str(path.relative_to(package))
+                    )
+        return found
+
+    def test_third_party_imports_are_declared(self):
+        declared = {
+            self.IMPORT_NAMES.get(name, name.lower())
+            for name in self._install_requires()
+        }
+        imports = self._third_party_imports()
+        assert {"numpy", "yaml"} <= set(imports)  # the scan sees imports
+        undeclared = {
+            top: files for top, files in imports.items() if top not in declared
+        }
+        assert not undeclared, f"undeclared third-party imports: {undeclared}"
+
+    def test_test_suite_imports_are_declared(self):
+        """Every third-party import of the test suite is a runtime
+        dependency or in the ``test`` extra, so ``pip install .[test]``
+        is enough to run it."""
+        declared = {
+            self.IMPORT_NAMES.get(name, name.lower())
+            for name in self._install_requires() + self._extras_require("test")
+        }
+        imports = self._third_party_imports(REPO_ROOT / "tests")
+        assert {"numpy", "pytest", "hypothesis"} <= set(imports)
+        undeclared = {
+            top: files for top, files in imports.items() if top not in declared
+        }
+        assert not undeclared, f"undeclared test imports: {undeclared}"
+
+    def test_every_module_imports_without_scipy(self):
+        """scipy is not a dependency: with it unimportable, every
+        ``repro`` module (the CLI, pool workers and the service
+        included) still imports."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro, repro.cli\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parent.parent),
+             env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

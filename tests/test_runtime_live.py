@@ -1,8 +1,9 @@
 """Tests for repro.runtime.live and the incremental re-solve kernels.
 
-Two layers are pinned here.  First the new :class:`SearchContext`
-entry points — :meth:`best_candidate` and :meth:`greedy_refine` — must
-agree bit-for-bit across all three kernels and stay rng-free.  Second
+Two layers are pinned here.  First the :class:`SearchContext` entry
+points — :meth:`best_candidate` and :meth:`greedy_refine` — must agree
+bit-for-bit with a per-move walk over the oracle costs and stay
+rng-free.  Second
 the extracted :class:`LiveConference` engine must reproduce exactly
 what a freshly built search context computes for the same active set,
 restore state on infeasible resizes, and carry hop counters across
@@ -18,8 +19,9 @@ import pytest
 import repro.runtime.live as live_module
 from repro.core.markov import MarkovConfig
 from repro.core.nearest import nearest_assignment
+from repro.core.neighborhood import session_moves
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
-from repro.core.search import KERNELS, SearchContext
+from repro.core.search import Candidate, SearchContext
 from repro.errors import InfeasibleError
 from repro.runtime.live import LiveConference
 from repro.workloads.prototype import prototype_conference
@@ -34,36 +36,49 @@ def make_evaluator(conference, alphas=(1.0, 1.0, 1.0)):
     )
 
 
-def make_context(conference, kernel, sids=None):
+def make_context(conference, sids=None):
     evaluator = make_evaluator(conference)
     sids = list(range(conference.num_sessions)) if sids is None else list(sids)
     assignment = nearest_assignment(conference, sids)
-    return SearchContext(
-        evaluator, assignment, active_sids=sids, kernel=kernel
-    )
+    return SearchContext(evaluator, assignment, active_sids=sids)
+
+
+def oracle_best(context, sid):
+    """The first lowest-``phi`` feasible neighbour, one move at a time
+    through the per-assignment oracle."""
+    evaluator = context.evaluator
+    conference = context.conference
+    best = None
+    for move in session_moves(conference, context.assignment, sid):
+        candidate = move.apply(context.assignment)
+        cost = evaluator.session_cost(candidate, sid)
+        _, max_flow = evaluator.profile.session_delays(
+            candidate.user_agent, candidate.task_agent, sid
+        )
+        if not context.ledger.fits(cost.usage):
+            continue
+        if max_flow > conference.dmax_ms + 1e-9:
+            continue
+        if best is None or cost.phi < best.phi:
+            best = Candidate(move=move, assignment=candidate, cost=cost)
+    return best
 
 
 class TestBestCandidate:
-    def test_kernels_agree_bit_for_bit(self, small_scenario_conf):
-        per_kernel = {}
-        for kernel in KERNELS:
-            context = make_context(small_scenario_conf, kernel)
-            per_kernel[kernel] = [
-                context.best_candidate(sid)
-                for sid in range(small_scenario_conf.num_sessions)
-            ]
-        reference = per_kernel["reference"]
-        for kernel in ("batched", "arrays"):
-            for ref, fast in zip(reference, per_kernel[kernel]):
-                assert (ref is None) == (fast is None)
-                if ref is None:
-                    continue
-                assert ref.move == fast.move
-                assert ref.phi == fast.phi  # exact, not approx
-                assert ref.assignment == fast.assignment
+    def test_matches_oracle_bit_for_bit(self, small_scenario_conf):
+        context = make_context(small_scenario_conf)
+        for sid in range(small_scenario_conf.num_sessions):
+            fast = context.best_candidate(sid)
+            ref = oracle_best(context, sid)
+            assert (ref is None) == (fast is None)
+            if ref is None:
+                continue
+            assert ref.move == fast.move
+            assert ref.phi == fast.phi  # exact, not approx
+            assert ref.assignment == fast.assignment
 
     def test_is_the_argmin_of_the_feasible_set(self, small_scenario_conf):
-        context = make_context(small_scenario_conf, "arrays")
+        context = make_context(small_scenario_conf)
         for sid in range(small_scenario_conf.num_sessions):
             best = context.best_candidate(sid)
             candidates = context.feasible_candidates(sid)
@@ -72,7 +87,7 @@ class TestBestCandidate:
 
     def test_repeat_calls_are_identical(self, small_scenario_conf):
         """rng-free: the same live state always names the same move."""
-        context = make_context(small_scenario_conf, "arrays")
+        context = make_context(small_scenario_conf)
         first = context.best_candidate(0)
         second = context.best_candidate(0)
         assert first.move == second.move
@@ -82,13 +97,13 @@ class TestBestCandidate:
         conf = prototype_conference(
             seed=1, num_sessions=2, regions_override=("Virginia",)
         )
-        context = make_context(conf, "arrays")
+        context = make_context(conf)
         assert context.best_candidate(0) is None
 
 
 class TestGreedyRefine:
     def test_commits_only_strict_improvements(self, small_scenario_conf):
-        context = make_context(small_scenario_conf, "arrays")
+        context = make_context(small_scenario_conf)
         before = context.total_phi()
         hops = context.greedy_refine(0, max_hops=8)
         assert 0 <= hops <= 8
@@ -99,24 +114,31 @@ class TestGreedyRefine:
             assert best is None or best.phi >= context.session_cost(0).phi
 
     def test_zero_budget_is_a_noop(self, small_scenario_conf):
-        context = make_context(small_scenario_conf, "arrays")
+        context = make_context(small_scenario_conf)
         before = context.assignment
         assert context.greedy_refine(0, max_hops=0) == 0
         assert context.assignment == before
 
-    def test_kernels_land_on_the_same_state(self, small_scenario_conf):
-        finals = []
-        for kernel in KERNELS:
-            context = make_context(small_scenario_conf, kernel)
-            hops = [
-                context.greedy_refine(sid, max_hops=4)
-                for sid in range(small_scenario_conf.num_sessions)
-            ]
-            finals.append((hops, context.assignment, context.total_phi()))
-        for hops, assignment, phi in finals[1:]:
-            assert hops == finals[0][0]
-            assert assignment == finals[0][1]
-            assert phi == finals[0][2]
+    def test_lands_on_the_oracle_refine_state(self, small_scenario_conf):
+        def oracle_refine(context, sid, max_hops):
+            hops = 0
+            while hops < max_hops:
+                best = oracle_best(context, sid)
+                if best is None or best.phi >= context.session_cost(sid).phi:
+                    break
+                context.commit(sid, best)
+                hops += 1
+            return hops
+
+        fast = make_context(small_scenario_conf)
+        oracle = make_context(small_scenario_conf)
+        sids = range(small_scenario_conf.num_sessions)
+        fast_hops = [fast.greedy_refine(sid, max_hops=4) for sid in sids]
+        oracle_hops = [oracle_refine(oracle, sid, 4) for sid in sids]
+        assert sum(fast_hops) > 0
+        assert fast_hops == oracle_hops
+        assert fast.assignment == oracle.assignment
+        assert fast.total_phi() == oracle.total_phi()
 
 
 class TestLiveConferenceDynamics:
