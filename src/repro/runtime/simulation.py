@@ -6,12 +6,15 @@ Binds Alg. 1's jump chain to wall-clock time:
   configured mean (the prototype uses 10 s) — then HOP;
 * HOP is serialized across sessions: while one session migrates, the
   others' countdowns are paused for the freeze duration (the
-  FREEZE/UNFREEZE handshake), implemented by shifting their pending wake
-  events;
+  FREEZE/UNFREEZE handshake), implemented by one vectorised shift of the
+  event queue's wake lane (:meth:`~repro.runtime.events.EventQueue.freeze`);
 * migrations are priced by the dual-feed model and logged;
 * metric samples (total inter-agent traffic, average conferencing delay,
   objective, per-session series) are taken on a fixed grid — these are the
-  series plotted in Figs. 4-7;
+  series plotted in Figs. 4-7.  Each session's per-user delays are cached
+  against the identity of its current ``SessionCost`` (every commit, add,
+  resize and evaluator swap replaces that object), so a sample recomputes
+  only the sessions that changed since the last one;
 * session arrivals bootstrap a new session against residual capacities and
   join the hop loop; departures release capacity (Fig. 5); resizes
   re-admit a live session against the current residuals;
@@ -37,9 +40,13 @@ import numpy as np
 import repro.telemetry as tele
 from repro.core.agrank import AgRankConfig
 from repro.core.assignment import Assignment
-from repro.core.delay import average_conferencing_delay, session_user_delays
+# ``average_conferencing_delay`` stays importable from this module: it is
+# the from-scratch reference the cached sampler reproduces, and
+# perfbench/layers.py times this name.
+from repro.core.delay import average_conferencing_delay  # noqa: F401
+from repro.core.delay import session_user_delays
 from repro.core.markov import MarkovConfig
-from repro.core.objective import ObjectiveEvaluator
+from repro.core.objective import ObjectiveEvaluator, SessionCost
 from repro.errors import InfeasibleError, SimulationError
 from repro.model.conference import Conference
 from repro.netsim.noise import NoiseModel
@@ -48,7 +55,7 @@ from repro.runtime.dynamics import (
     SessionArrival,
     SessionResize,
 )
-from repro.runtime.events import EventHandle, EventQueue
+from repro.runtime.events import EventQueue
 from repro.runtime.faults import (
     Fault,
     FaultSchedule,
@@ -175,7 +182,9 @@ class ConferencingSimulator:
         self._queue = EventQueue()
         self._recorder = TimeSeriesRecorder()
         self._migrations: list[MigrationRecord] = []
-        self._wake_handles: dict[int, tuple[EventHandle, float]] = {}
+        #: sid -> (the SessionCost the delays were computed under, the
+        #: session's per-user delays ``d_u`` in user order).
+        self._delay_cache: dict[int, tuple[SessionCost, list[float]]] = {}
         self._freezes = 0
         self._resizes = 0
         self._pending_trace = 0
@@ -204,69 +213,77 @@ class ConferencingSimulator:
         return float(self._rng.exponential(self._config.hop_interval_mean_s))
 
     def _schedule_wake(self, sid: int, now: float) -> None:
-        wake_at = now + self._draw_wait()
-        handle = self._queue.schedule(wake_at, "wake", sid, priority=1)
-        self._wake_handles[sid] = (handle, wake_at)
+        self._queue.schedule_wake(sid, now + self._draw_wait())
 
-    def _freeze_others(self, hopping_sid: int, now: float) -> None:
+    def _freeze_others(self, now: float) -> None:
         """FREEZE: pause every other session's countdown for the handshake
-        duration by pushing their wake events back."""
+        duration (the hopping session's wake has already popped, so every
+        armed wake belongs to another session)."""
         duration = self._config.freeze_duration_s
         if duration <= 0:
             return
         self._freezes += 1
         tele.count("sim.freezes")
-        for sid, (handle, wake_at) in list(self._wake_handles.items()):
-            if sid == hopping_sid:
-                continue
-            shifted = max(wake_at, now) + duration
-            new_handle = self._queue.reschedule(handle, shifted)
-            self._wake_handles[sid] = (new_handle, shifted)
+        with tele.span("sim.freeze"):
+            self._queue.freeze(now, duration)
 
     def _on_wake(self, sid: int, now: float) -> None:
         assert self._live is not None
-        if sid not in self._wake_handles:
-            return  # departed in the meantime
         before = self._live.assignment
         result = self._live.hop(sid)
         if result.moved and result.move is not None:
-            self._freeze_others(sid, now)
+            self._freeze_others(now)
             self._migrations.append(
                 self._migration_model.price(self._conference, before, result.move, sid, now)
             )
         self._schedule_wake(sid, now)
 
-    def _on_sample(self, now: float) -> None:
+    def _user_delays(self, sid: int) -> list[float]:
+        """Session ``sid``'s per-user delays ``d_u``, recomputed only when
+        its ``SessionCost`` object changed since they were cached."""
         assert self._live is not None
-        active = self._live.context.active_sessions
+        cost = self._live.context.session_cost(sid)
+        cached = self._delay_cache.get(sid)
+        if cached is None or cached[0] is not cost:
+            delays = session_user_delays(self._conference, self._live.assignment, sid)
+            cached = (cost, list(delays.values()))
+            self._delay_cache[sid] = cached
+        return cached[1]
+
+    def _on_sample(self, now: float) -> None:
+        with tele.span("sim.sample"):
+            self._sample(now)
+        next_sample = now + self._config.sample_interval_s
+        if next_sample <= self._config.duration_s + 1e-9:
+            self._queue.schedule(next_sample, "sample", priority=1)
+
+    def _sample(self, now: float) -> None:
+        """Record every series at ``now``.  The delay is the same
+        ``np.mean`` over the same concatenated per-user values as
+        :func:`~repro.core.delay.average_conferencing_delay`, so it is
+        bit-identical to the from-scratch recomputation."""
+        assert self._live is not None
+        context = self._live.context
+        active = context.active_sessions
         if active:
-            traffic = sum(
-                self._live.context.session_cost(sid).inter_agent_mbps
-                for sid in active
-            )
-            delay = average_conferencing_delay(
-                self._conference, self._live.assignment, active
-            )
+            traffic = sum(context.session_cost(sid).inter_agent_mbps for sid in active)
+            values: list[float] = []
+            for sid in active:
+                values.extend(self._user_delays(sid))
             self._recorder.record("traffic", now, traffic)
-            self._recorder.record("delay", now, delay)
+            self._recorder.record("delay", now, float(np.mean(values)))
             self._recorder.record("phi", now, self._live.total_phi())
             self._recorder.record("sessions", now, float(len(active)))
             for sid in self._config.track_sessions:
                 if sid in active:
-                    cost = self._live.context.session_cost(sid)
-                    per_user = session_user_delays(
-                        self._conference, self._live.assignment, sid
-                    )
+                    cost = context.session_cost(sid)
                     self._recorder.record(f"s{sid}/traffic", now, cost.inter_agent_mbps)
                     self._recorder.record(
-                        f"s{sid}/delay", now, float(np.mean(list(per_user.values())))
+                        f"s{sid}/delay", now, float(np.mean(self._user_delays(sid)))
                     )
         if self._faults is not None:
             self._sample_resilience(active, now)
         tele.count("sim.samples")
-        next_sample = now + self._config.sample_interval_s
-        if next_sample <= self._config.duration_s + 1e-9:
-            self._queue.schedule(next_sample, "sample", priority=1)
 
     def _on_arrival(self, sid: int, now: float) -> None:
         assert self._live is not None
@@ -278,9 +295,7 @@ class ConferencingSimulator:
     def _on_departure(self, sid: int, now: float) -> None:
         assert self._live is not None
         del now
-        handle_entry = self._wake_handles.pop(sid, None)
-        if handle_entry is not None:
-            handle_entry[0].cancel()
+        self._queue.cancel_wake(sid)
         self._live.depart(sid)
         tele.count("sim.departures")
         self._trace_event_done()
@@ -291,7 +306,7 @@ class ConferencingSimulator:
         as a placement renegotiation); its WAIT countdown keeps running."""
         assert self._live is not None
         del now
-        if sid in self._wake_handles:
+        if self._queue.has_wake(sid):
             self._live.resize(sid)
             self._resizes += 1
         self._trace_event_done()
@@ -334,6 +349,7 @@ class ConferencingSimulator:
         self._conference = view
         self._evaluator = evaluator
         self._live.swap_evaluator(evaluator)
+        self._delay_cache.clear()
 
     def _apply_fault_policy(self, now: float) -> None:
         """Recover sessions stranded on outaged sites per the policy."""
@@ -362,9 +378,7 @@ class ConferencingSimulator:
                 self._drop_session(sid)
 
     def _drop_session(self, sid: int) -> None:
-        entry = self._wake_handles.pop(sid, None)
-        if entry is not None:
-            entry[0].cancel()
+        self._queue.cancel_wake(sid)
         self._sessions_dropped += 1
         tele.count("sim.sessions_dropped")
 

@@ -3,14 +3,16 @@
 Python randomizes ``str``/``bytes`` hashing per process
 (``PYTHONHASHSEED``), so a builtin ``hash()`` that feeds a random
 generator makes seeded results differ between runs of the same command.
-Two guards: the Table II / Fig. 8 alpha sweep must print identical
-outcomes under two hash seeds, and no ``hash()`` call anywhere in the
-package may reach a generator constructor or seeding call.
+Three guards: the Table II / Fig. 8 alpha sweep and a shortened first
+unit of every library spec must print identical outcomes under two hash
+seeds, and no ``hash()`` call anywhere in the package may reach a
+generator constructor or seeding call.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -39,14 +41,34 @@ print(json.dumps([dataclasses.asdict(o) for o in outcomes]))
 """
 
 
-def _sweep_output(hash_seed: str) -> str:
+#: Every library spec's first expanded unit, cut to at most 12 s of
+#: simulated time, as ``{spec: sha256 of its run_record}``.
+_LIBRARY_SCRIPT = """
+import hashlib, json
+from repro.fleet.compile import compile_spec, run_record
+from repro.fleet.library import library_spec_names, load_library_spec
+from repro.fleet.orchestrator import expand_matrix
+
+digests = {}
+for name in library_spec_names():
+    spec = expand_matrix(load_library_spec(name))[0].spec
+    duration = min(spec.simulation.duration_s, 12.0)
+    spec = spec.with_overrides({"simulation.duration_s": duration})
+    record = run_record(compile_spec(spec))
+    payload = json.dumps(record, sort_keys=True).encode("utf-8")
+    digests[name] = hashlib.sha256(payload).hexdigest()
+print(json.dumps(digests, sort_keys=True))
+"""
+
+
+def _script_output(script: str, hash_seed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_ROOT.parent), env.get("PYTHONPATH", "")]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _SWEEP_SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
@@ -57,9 +79,19 @@ def _sweep_output(hash_seed: str) -> str:
 
 
 def test_alpha_sweep_identical_under_two_hash_seeds():
-    first = _sweep_output("1")
+    first = _script_output(_SWEEP_SCRIPT, "1")
     assert first.strip(), "sweep printed nothing"
-    assert first == _sweep_output("2")
+    assert first == _script_output(_SWEEP_SCRIPT, "2")
+
+
+def test_library_specs_identical_under_two_hash_seeds():
+    """Every shipped spec's records are independent of string hashing
+    (the simulator's freeze order once came from dict iteration)."""
+    from repro.fleet.library import library_spec_names
+
+    first = json.loads(_script_output(_LIBRARY_SCRIPT, "1"))
+    assert sorted(first) == sorted(library_spec_names())
+    assert first == json.loads(_script_output(_LIBRARY_SCRIPT, "2"))
 
 
 def _call_name(call: ast.Call) -> str:

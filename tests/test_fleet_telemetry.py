@@ -34,7 +34,7 @@ from repro.fleet.spec import (
     WorkloadSpec,
 )
 from repro.netsim.latency import clear_substrate_cache
-from repro.telemetry import load_run_telemetry, span_names
+from repro.telemetry import aggregate_timings, load_run_telemetry, span_names
 
 
 def golden_spec() -> RunSpec:
@@ -57,6 +57,7 @@ UNIT_SPANS = {
     "unit.compile",
     "unit.solve",
     "unit.solve/sim.bootstrap",
+    "unit.solve/sim.sample",
     "unit.solve/solver.hop_batch",
 }
 
@@ -103,6 +104,21 @@ class TestEnabledPath:
             assert counters["sim.samples"] >= 1
         assert telemetry.fleet is not None
         assert "fleet.sweep" in span_names(telemetry.fleet)
+
+    def test_simulator_layers_have_spans(self, tmp_path):
+        """Sampling and FREEZE get their own spans under ``unit.solve``:
+        one ``sim.sample`` per sample, one ``sim.freeze`` per freeze."""
+        run_fleet(tmp_path / "run", telemetry=True)
+        telemetry = load_run_telemetry(tmp_path / "run")
+        frozen = 0
+        for record in telemetry.units.values():
+            counters = record["counters"]
+            timings = aggregate_timings([record])
+            assert timings["unit.solve/sim.sample"]["count"] == counters["sim.samples"]
+            freezes = counters.get("sim.freezes", 0)
+            frozen += freezes
+            assert timings.get("unit.solve/sim.freeze", {"count": 0})["count"] == freezes
+        assert frozen > 0
 
     def test_records_carry_volatile_envelope_blocks(self, tmp_path):
         run_fleet(tmp_path / "run", telemetry=True)

@@ -1,12 +1,18 @@
 """Tests for repro.runtime.simulation — the event-driven control plane."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.delay import average_conferencing_delay, session_delay_cost
 from repro.core.feasibility import is_feasible
 from repro.core.markov import MarkovConfig
 from repro.core.objective import ObjectiveEvaluator, ObjectiveWeights
 from repro.errors import SimulationError
+from repro.fleet.compile import compile_spec
+from repro.fleet.library import load_library_spec
+from repro.fleet.orchestrator import expand_matrix
 from repro.runtime.dynamics import DynamicsSchedule
 from repro.runtime.simulation import ConferencingSimulator, SimulationConfig
 from repro.workloads.prototype import prototype_conference
@@ -167,3 +173,47 @@ class TestDynamicsRun:
         )
         result = simulator.run()
         assert is_feasible(conference, result.final_assignment)
+
+
+class OracleSimulator(ConferencingSimulator):
+    """Re-derives every sample's delay from scratch on the current
+    substrate view and assignment, with no tolerance."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.compared = 0
+
+    def _sample(self, now):
+        super()._sample(now)
+        active = self._live.context.active_sessions
+        if not active:
+            return
+        assignment = self._live.assignment
+        expected = average_conferencing_delay(self._conference, assignment, active)
+        assert self._recorder.last("delay") == expected, now
+        for sid in self._config.track_sessions:
+            if sid in active:
+                per_session = session_delay_cost(self._conference, assignment, sid)
+                assert self._recorder.last(f"s{sid}/delay") == per_session, now
+        self.compared += 1
+
+
+class TestSamplingCache:
+    @pytest.mark.parametrize("policy", ["migrate", "drop"])
+    def test_cached_delay_equals_from_scratch_recomputation(self, policy):
+        """Hops, fault swaps, fault migrations and drops all invalidate
+        a session's cached delays; a stale entry would show here."""
+        spec = expand_matrix(load_library_spec("chaos_storm"))[0].spec
+        compiled = compile_spec(spec.with_overrides({"faults.policy": policy}))
+        simulator = OracleSimulator(
+            compiled.evaluator,
+            compiled.schedule,
+            dataclasses.replace(compiled.config, track_sessions=tuple(range(8))),
+            noise=compiled.noise,
+            faults=compiled.faults,
+        )
+        result = simulator.run()
+        assert simulator.compared == len(result.series("delay")[0]) > 80
+        assert result.faults_injected > 0 and result.hops > 0
+        moved = result.fault_migrations if policy == "migrate" else result.sessions_dropped
+        assert moved > 0
